@@ -76,7 +76,6 @@ class Box:
     def elements(self) -> Iterator[tuple[tuple[int, ...], FqElem]]:
         """Stream of (coords, element), lexicographic in box coordinates."""
         coords = self.coords_grid()
-        ctx = self.ctx
         for row in coords:
             yield tuple(int(v) for v in row), self.basis.elem_from_coords(row)
 

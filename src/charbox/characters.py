@@ -1,8 +1,9 @@
 """Multiplicative characters of F_{p^n} and the character sums under study.
 
-chi_k sends g^m to exp(2 pi i k m / (q-1)) and 0 to 0. Box sums enumerate
-in lexicographic coordinate order and accumulate with math.fsum so summation
-is deterministic and compensated.
+chi_k sends g^m to exp(2 pi i k m / (q-1)) and 0 to 0, evaluated only where
+asked: no q-sized value table exists. Box sums enumerate in lexicographic
+coordinate order and accumulate with exact_sum, which returns the correctly
+rounded sum (the math.fsum value), so summation is deterministic.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import numpy as np
 from .boxes import Box
 from .field import FieldCtx, FqElem, is_generating
 
-_TABLE_CACHE_LIMIT = 2**22  # full chi tables only for q below this
+_TABLE_CACHE_LIMIT = 0  # no field gets a q-sized chi table; values are computed on demand
+_SUM_CHUNK = 1 << 18  # exact-sum rows per pass: bounds scratch memory and every bucket sum
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,33 +49,53 @@ class Character:
 
     def values_at(self, idx: np.ndarray) -> np.ndarray:
         """chi at encoded elements; chi(0) = 0."""
-        table = self._table()
-        if table is not None:
-            return table[idx]
         dlogs = self.ctx.dlog[idx]
         vals = np.exp((2j * np.pi / self.ctx.q1) * (self.k * dlogs % self.ctx.q1))
         vals[dlogs < 0] = 0
         return vals
-
-    def _table(self) -> np.ndarray | None:
-        if self.ctx.q > _TABLE_CACHE_LIMIT:
-            return None
-        cached = getattr(self, "_table_cache", None)
-        if cached is None:
-            dlogs = self.ctx.dlog
-            cached = np.exp((2j * np.pi / self.ctx.q1) * (self.k * dlogs % self.ctx.q1))
-            cached[0] = 0
-            cached.setflags(write=False)
-            object.__setattr__(self, "_table_cache", cached)
-        return cached
 
 
 def _unit(num: int, den: int) -> complex:
     return complex(math.cos(2 * math.pi * num / den), math.sin(2 * math.pi * num / den))
 
 
+def exact_sum(vals) -> float:
+    """Correctly rounded sum of float64 values: the same float as math.fsum."""
+    return _exact_column_sums(np.asarray(vals, dtype=np.float64).reshape(-1, 1))[0]
+
+
 def _fsum_complex(vals: np.ndarray) -> complex:
-    return complex(math.fsum(vals.real), math.fsum(vals.imag))
+    pairs = np.ascontiguousarray(vals, dtype=np.complex128).reshape(-1).view(np.float64)
+    return complex(*_exact_column_sums(pairs.reshape(-1, 2)))
+
+
+def _exact_column_sums(x: np.ndarray) -> list[float]:
+    """math.fsum of each column of a 2-D float64 array, by exponent buckets.
+
+    np.frexp writes a finite value as M * 2^(e - 53) with an integer
+    |M| < 2^53, cut here as M = hi * 2^27 + lo with |hi| < 2^26, |lo| < 2^27.
+    np.bincount sums the halves per (column, exponent); a bucket meets at
+    most 2 * _SUM_CHUNK halves, so its float64 sum is exact. The buckets are
+    combined in a Python int and rounded once by int/int true division
+    (Neal 2015, "small superaccumulator"). Non-finite input goes to math.fsum.
+    """
+    k = x.shape[1]
+    totals = [0] * k
+    for s in range(0, len(x), _SUM_CHUNK):
+        mant, expo = np.frexp(x[s : s + _SUM_CHUNK])
+        lo, hi = np.modf(mant * 2.0**26)
+        lo *= 2.0**27
+        e0 = int(expo.min())
+        width = (int(expo.max()) - e0 + 35) & ~7  # a column's hi buckets move 27 up; groups of 8
+        key = (expo - e0 + np.arange(0, k * width, width, dtype=expo.dtype)).ravel()
+        acc, acc_hi = (np.bincount(key, weights=h.ravel(), minlength=k * width) for h in (lo, hi))
+        acc[27:] += acc_hi[:-27]
+        if not np.isfinite(acc).all():
+            return [math.fsum(col) for col in x.T]
+        groups = (acc.astype(np.int64).reshape(k, -1, 8) << np.arange(8)).sum(axis=2)  # < 2^58
+        for c, row in enumerate(groups.tolist()):
+            totals[c] += sum(v << 8 * g for g, v in enumerate(row)) << (e0 + 1073)
+    return [t / (1 << 1126) for t in totals]  # frexp exponents start at -1073
 
 
 def box_char_sum(chi: Character, box: Box) -> complex:
@@ -129,10 +151,7 @@ def generator_interval_sum(
         raise ValueError("chi must be nontrivial")
     if len(interval) == 0:
         return 0j, 0.0
-    base = ctx.encode(a)
-    d0 = base % ctx.p
-    ts = np.fromiter(interval, dtype=np.int64)
-    idx = base - d0 + (d0 + ts % ctx.p) % ctx.p
+    idx = ctx.add_int_array(ctx.encode(a), np.fromiter(interval, dtype=np.int64))
     value = _fsum_complex(chi.values_at(idx))
     return value, abs(value) / (math.sqrt(ctx.p) * math.log(ctx.p))
 
@@ -144,11 +163,7 @@ def interval_sums_scan(chi: Character, a: FqElem) -> np.ndarray:
     Polya-Vinogradov pilot scans via prefix sums.
     """
     ctx = chi.ctx
-    base = ctx.encode(a)
-    d0 = base % ctx.p
-    ts = np.arange(1, ctx.p + 1, dtype=np.int64)
-    idx = base - d0 + (d0 + ts % ctx.p) % ctx.p
-    vals = chi.values_at(idx)
+    vals = chi.values_at(ctx.add_int_array(ctx.encode(a), np.arange(1, ctx.p + 1, dtype=np.int64)))
     prefix = np.concatenate([[0j], np.cumsum(vals)])
     diff = prefix[None, 1:] - prefix[:-1, None]  # diff[i, j] = sum over [i+1, j+1]
     lo_idx, hi_idx = np.triu_indices(ctx.p)
@@ -191,9 +206,8 @@ def tall_box_identity(chi: Character, box: Box) -> TallBoxSplit:
     base_coeffs = (outer % ctx.p) @ ratio_mat % ctx.p
     base_idx = ctx.encode_array(base_coeffs)
 
-    ts = np.arange(box.N[n - 1] + 1, box.N[n - 1] + box.H[n - 1] + 1, dtype=np.int64) % ctx.p
-    d0 = base_idx % ctx.p
-    inner_idx = base_idx[:, None] - d0[:, None] + (d0[:, None] + ts[None, :]) % ctx.p
+    ts = np.arange(box.N[n - 1] + 1, box.N[n - 1] + box.H[n - 1] + 1, dtype=np.int64)
+    inner_idx = ctx.add_int_array(base_idx[:, None], ts)
     inner_vals = chi.values_at(inner_idx.ravel()).reshape(inner_idx.shape)
     inner = inner_vals.sum(axis=1)
     inner_abs = np.abs(inner)

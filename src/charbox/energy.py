@@ -151,28 +151,16 @@ class RatioProfile:
     hypothesis_ok: bool  # all H_i < sqrt(p/2)
     checks: dict[str, bool]
     _h0: np.ndarray = field(repr=False, default=None)
-    _hB: np.ndarray = field(repr=False, default=None)
 
     @property
     def Z(self) -> set[FqElem]:
         ctx = self.box.ctx
         return {ctx.decode(int(ctx.exp[d])) for d in np.nonzero(self._h0)[0]}
 
-    @property
-    def Zprime(self) -> set[FqElem]:
-        ctx = self.box.ctx
-        return {ctx.decode(int(ctx.exp[d])) for d in np.nonzero(self._hB)[0]}
-
     def f0_of(self, z: FqElem) -> int:
         if not any(z):
             raise ValueError("f_0 is defined on F_q^*")
         return 1 + int(self._h0[self.box.ctx.dlog_of(z)])
-
-    def f_of(self, z: FqElem) -> int:
-        if not any(z):
-            raise ValueError("f is tabulated on F_q^* only")
-        zero_in_b = 1 if self.checks["zero_in_B"] else 0
-        return zero_in_b + int(self._hB[self.box.ctx.dlog_of(z)])
 
 
 def one_dim_f_counts(p: int, h: int, z_values: np.ndarray) -> np.ndarray:
@@ -242,7 +230,7 @@ def s_decomposition(box: Box, pair_budget: int = PAIR_BUDGET) -> RatioProfile:
     f_table = {int(z): int(v) for z, v in zip(z_ints, f0_prime)}
     return RatioProfile(
         box, e_b, s_total, s1, s2, sum_f_sq, int(in_z.sum()), int(in_zprime.sum()),
-        f_table, hypothesis_ok, checks, h_0, h_b,
+        f_table, hypothesis_ok, checks, h_0,
     )
 
 

@@ -250,15 +250,9 @@ class FieldCtx:
         """coeffs (m, n) reduced mod p -> element indices (m,)."""
         return coeffs @ np.asarray(self._pow_vec, dtype=np.int64)
 
-    def decode_array(self, idx: np.ndarray) -> np.ndarray:
-        out = np.empty((len(idx), self.n), dtype=np.int64)
-        rest = np.asarray(idx, dtype=np.int64)
-        for i in range(self.n):
-            rest, out[:, i] = np.divmod(rest, self.p)
-        return out
-
-    def add_int_array(self, idx: np.ndarray, t: int) -> np.ndarray:
-        """Indices of a + t for each element index in idx (t an integer)."""
+    def add_int_array(self, idx: int | np.ndarray, t: int | np.ndarray) -> np.ndarray:
+        """Indices of a + t for element indices idx and integers t (broadcast);
+        t moves coordinate 0 only, so a + t stays in a's row of p indices."""
         d0 = idx % self.p
         return idx - d0 + (d0 + t % self.p) % self.p
 

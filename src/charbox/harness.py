@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .boxes import Box, scaled_box
-from .characters import Character, box_char_sum, _fsum_complex
+from .characters import Character, box_char_sum, exact_sum, _fsum_complex
 from .energy import tau_profile
 
 R_CAP = 30
@@ -110,7 +110,9 @@ _MOMENT_CHUNK = 1 << 18
 def moment_sum(chi: Character, interval: range, r: int, budget: int = MOMENT_BUDGET) -> MomentResult:
     """sum over u in F_q of |sum over z in I of chi(u+z)|^(2r), streamed over
     u in fixed-size chunks (memory independent of q), against the explicit
-    bound 2 r q^(1/2) |I|^(2r) + q |I|^r r^(2r)."""
+    bound 2 r q^(1/2) |I|^(2r) + q |I|^r r^(2r). u + z stays in u's row of p
+    indices, so chi is evaluated once on the rows enclosing a chunk and every
+    shift is gathered from there."""
     ctx = chi.ctx
     size = len(interval)
     if size < 1:
@@ -119,12 +121,15 @@ def moment_sum(chi: Character, interval: range, r: int, budget: int = MOMENT_BUD
         raise RegimeError(f"q*|I| = {ctx.q * size} exceeds moment budget {budget}")
     partials = []
     for start in range(0, ctx.q, _MOMENT_CHUNK):
-        chunk_u = np.arange(start, min(start + _MOMENT_CHUNK, ctx.q), dtype=np.int64)
-        inner = np.zeros(len(chunk_u), dtype=np.complex128)
+        stop = min(start + _MOMENT_CHUNK, ctx.q)
+        lo = start - start % ctx.p
+        local = chi.values_at(np.arange(lo, -(-stop // ctx.p) * ctx.p, dtype=np.int64))
+        rel_u = np.arange(start - lo, stop - lo, dtype=np.int64)  # lo is a multiple of p
+        inner = np.zeros(len(rel_u), dtype=np.complex128)
         for z in interval:
-            inner += chi.values_at(ctx.add_int_array(chunk_u, z))
-        partials.append(math.fsum(np.abs(inner) ** (2 * r)))
-    value = math.fsum(partials)
+            inner += local[ctx.add_int_array(rel_u, z)]
+        partials.append(exact_sum(np.abs(inner) ** (2 * r)))
+    value = exact_sum(partials)
     bound = 2 * r * math.sqrt(ctx.q) * float(size) ** (2 * r) + ctx.q * float(size) ** r * float(
         r
     ) ** (2 * r)
@@ -212,9 +217,7 @@ def burgess_trace(box: Box, chi: Character, eps: float,
             sym = 2 * (b_size - overlap)
             max_sym = max(max_sym, sym)
             partial_sums.append(_fsum_complex(chi.values_at(shifted)))
-    triple_total = complex(
-        math.fsum(v.real for v in partial_sums), math.fsum(v.imag for v in partial_sums)
-    )
+    triple_total = _fsum_complex(np.array(partial_sums, dtype=np.complex128))
     b0_size = b0.size
     averaged = triple_total / (b0_size * len(interval))
     identity_err = abs(true_sum - averaged)

@@ -129,6 +129,7 @@ def _survey_row(task: dict) -> dict:
             "route": "error",
             "pass_flags": f"error={type(exc).__name__}",
             "_ok": False,
+            "_error": f"{type(exc).__name__}: {exc}",
         }
 
 

@@ -1,0 +1,166 @@
+"""exact_sum against math.fsum, and the table-free character sums against a
+test-side oracle of the q-sized-table + math.fsum algorithm they replace."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from charbox import BasisMatrix, Box, Character, cached_field, tall_box_identity
+from charbox import characters, harness
+from charbox.characters import box_char_sum, exact_sum
+from charbox.sampling import rng_for, sample_basis, sample_box, sample_character
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def fsum_or_none(vals):
+    try:
+        return math.fsum(vals)
+    except OverflowError:  # intermediate overflow: exact_sum is only specified where fsum is finite
+        return None
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+near_1e16 = st.floats(min_value=-1e16, max_value=1e16, allow_nan=False)
+subnormal = st.floats(min_value=-2.3e-308, max_value=2.3e-308, allow_subnormal=True)
+wide = st.builds(
+    lambda m, e: m * 10.0**e, st.floats(-9.99, 9.99), st.integers(min_value=-300, max_value=299)
+)
+
+
+class TestExactSumMatchesFsum:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.one_of(finite, near_1e16, subnormal, wide), max_size=60))
+    def test_mixed(self, vals):
+        want = fsum_or_none(vals)
+        assume(want is not None)
+        assert same_bits(exact_sum(np.array(vals)), want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(near_1e16, min_size=1, max_size=40), st.lists(st.floats(-4.0, 4.0), max_size=8))
+    def test_cancellation_around_1e16(self, big, small):
+        vals = big + small + [-v for v in big]  # big terms cancel exactly, small ones remain
+        assert same_bits(exact_sum(np.array(vals)), math.fsum(vals))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(wide, subnormal), max_size=50))
+    def test_exponents_1e_minus_300_to_1e300(self, vals):
+        want = fsum_or_none(vals)
+        assume(want is not None)
+        assert same_bits(exact_sum(np.array(vals)), want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(subnormal, max_size=50))
+    def test_subnormals(self, vals):
+        assert same_bits(exact_sum(np.array(vals)), math.fsum(vals))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(finite, near_1e16, subnormal), min_size=5, max_size=60))
+    def test_longer_than_one_bincount_chunk(self, vals):
+        want = fsum_or_none(vals)
+        assume(want is not None)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(characters, "_SUM_CHUNK", 4)
+            got = exact_sum(np.array(vals))
+        assert same_bits(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(near_1e16, wide), max_size=40))
+    def test_complex_sum_is_fsum_per_part(self, pairs):
+        vals = np.array([complex(a, b) for a, b in pairs], dtype=np.complex128)
+        want_re, want_im = fsum_or_none(vals.real), fsum_or_none(vals.imag)
+        assume(want_re is not None and want_im is not None)
+        assert same_bits(characters._fsum_complex(vals), complex(want_re, want_im))
+
+    def test_empty_and_single(self):
+        assert same_bits(exact_sum(np.array([])), math.fsum([]))
+        for v in (0.0, -0.0, 5e-324, -1.5, 1e300, -2.2250738585072014e-308):
+            assert same_bits(exact_sum(np.array([v])), math.fsum([v]))
+
+    def test_non_finite_goes_to_fsum(self):
+        assert exact_sum(np.array([1.0, math.inf])) == math.inf
+        assert math.isnan(exact_sum(np.array([math.nan, 2.0])))
+        with pytest.raises(ValueError):
+            exact_sum(np.array([math.inf, -math.inf]))
+
+
+# ---------------------------------------------------------------------------
+# the seed algorithm: one q-sized chi table per character, math.fsum
+
+
+def seed_table(chi):
+    ctx = chi.ctx
+    table = np.exp((2j * np.pi / ctx.q1) * (chi.k * ctx.dlog % ctx.q1))
+    table[0] = 0
+    return table
+
+
+def seed_fsum_complex(vals):
+    return complex(math.fsum(vals.real), math.fsum(vals.imag))
+
+
+def seed_tall_sides(chi, table, box):
+    ctx, n = box.ctx, box.ctx.n
+    w_n = box.basis.omega(n)
+    w_inv = ctx.inv(w_n)
+    ratio_mat = np.array([ctx.mul(box.basis.omega(i + 1), w_inv) for i in range(n - 1)])
+    axes = [np.arange(box.N[i] + 1, box.N[i] + box.H[i] + 1) for i in range(n - 1)]
+    outer = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    base_idx = ctx.encode_array((outer % ctx.p) @ ratio_mat % ctx.p)
+    ts = np.arange(box.N[n - 1] + 1, box.N[n - 1] + box.H[n - 1] + 1) % ctx.p
+    d0 = base_idx % ctx.p
+    inner_idx = base_idx[:, None] - d0[:, None] + (d0[:, None] + ts[None, :]) % ctx.p
+    inner = table[inner_idx].sum(axis=1)
+    lhs = seed_fsum_complex(table[box.element_indices()])
+    return lhs, chi.value(w_n) * seed_fsum_complex(inner), np.abs(inner)
+
+
+def seed_moment(table, ctx, interval, r):
+    partials = []
+    for start in range(0, ctx.q, harness._MOMENT_CHUNK):
+        u = np.arange(start, min(start + harness._MOMENT_CHUNK, ctx.q))
+        d0 = u % ctx.p
+        inner = np.zeros(len(u), dtype=np.complex128)
+        for z in interval:
+            inner += table[u - d0 + (d0 + z % ctx.p) % ctx.p]
+        partials.append(math.fsum(np.abs(inner) ** (2 * r)))
+    return math.fsum(partials)
+
+
+@pytest.mark.parametrize("p,n", [(31, 2), (31, 3), (101, 2), (101, 3)])
+def test_sums_equal_seed_oracle(p, n):
+    ctx = cached_field(p, n, seed=0)
+    rng = rng_for(21, p, n)
+    for trial in range(3):
+        basis = sample_basis(ctx, rng)
+        chi = sample_character(ctx, rng)
+        table = seed_table(chi)
+        for regime in ("small", "tall", "any"):
+            box = sample_box(basis, rng, regime=regime)
+            if box.size > 2**18:
+                continue
+            assert same_bits(box_char_sum(chi, box), seed_fsum_complex(table[box.element_indices()]))
+            split = tall_box_identity(chi, box)
+            lhs, rhs, inner_abs = seed_tall_sides(chi, table, box)
+            assert same_bits(split.lhs, lhs) and same_bits(split.rhs, rhs)
+            assert same_bits(split.inner_abs, inner_abs)
+        interval, r = [(range(1, 4), 4), (range(1, 6), 3), (range(1, 8), 2)][trial]
+        got = harness.moment_sum(chi, interval, r).value
+        assert same_bits(got, seed_moment(table, ctx, interval, r))
+
+
+def test_moment_chunks_split_rows():
+    # q = 67^3 spans two moment chunks and the chunk boundary falls mid-row
+    ctx = cached_field(67, 3, seed=0)
+    assert ctx.q > harness._MOMENT_CHUNK and harness._MOMENT_CHUNK % ctx.p != 0
+    chi = Character(ctx, 4321)
+    table = seed_table(chi)
+    got = harness.moment_sum(chi, range(1, 6), 3).value
+    assert same_bits(got, seed_moment(table, ctx, range(1, 6), 3))
+    box = Box(BasisMatrix.random(ctx, 3), (5, -7, 11), (2, 3, 60))
+    assert same_bits(box_char_sum(chi, box), seed_fsum_complex(table[box.element_indices()]))

@@ -5,7 +5,9 @@ import pathlib
 import pytest
 
 from charbox import ExperimentConfig, cached_field, run_config, theorem_survey
-from charbox.survey import ConfigError, render_csv, write_report, CSV_HEADERS
+from charbox import survey as survey_mod
+from charbox.boxes import format_box_spec
+from charbox.survey import ConfigError, render_csv, render_json, write_report, CSV_HEADERS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "sample_survey.csv"
 CONFIG = pathlib.Path(__file__).parent.parent / "configs" / "sample_survey.json"
@@ -144,3 +146,26 @@ class TestErrorRows:
         assert not bad["_ok"] and bad["route"] == "error"
         assert bad["pass_flags"].startswith("error=")
         assert not report.all_ok
+
+    def test_injected_fault_keeps_message_other_rows_identical(self, monkeypatch):
+        cfg = dict(p_list=[31, 61], n=2, random_boxes=3, random_chars=2, seed=9)
+        clean = theorem_survey(ExperimentConfig(**cfg))
+        assert clean.all_ok and not any("_error" in row for row in clean.rows)
+        target = clean.rows[3]
+        real_sum = survey_mod.box_char_sum
+
+        def faulty_sum(chi, box):
+            if chi.k == target["char_index"] and format_box_spec(box) == target["box"]:
+                raise ArithmeticError("injected fault")
+            return real_sum(chi, box)
+
+        monkeypatch.setattr(survey_mod, "box_char_sum", faulty_sum)
+        faulty = theorem_survey(ExperimentConfig(**cfg))
+        row = faulty.rows[3]
+        assert row["route"] == "error" and row["pass_flags"] == "error=ArithmeticError"
+        assert row["_error"] == "ArithmeticError: injected fault"
+        clean_lines = render_csv(clean).splitlines()
+        faulty_lines = render_csv(faulty).splitlines()
+        assert len(clean_lines) == len(faulty_lines)
+        assert [i for i, (a, b) in enumerate(zip(clean_lines, faulty_lines)) if a != b] == [4]
+        assert "injected" not in render_csv(faulty) + render_json(faulty)
