@@ -6,10 +6,11 @@ gauge comparisons are integer cross-multiplications and every lambda comes
 out as an exact Fraction together with an integer witness vector, so the
 Minkowski certificate is a hard zero-tolerance assertion.
 
-Enumeration pipeline: exact LLL on the weight-rescaled basis seeds the shell
-size, then a depth-first sweep over a column-permuted Hermite triangular
-basis lists every lattice vector of the current shell; shells double until
-2n independent vectors exist.
+Enumeration pipeline, integer arithmetic throughout: a fraction-free integral
+LLL on the integer-rescaled basis seeds the shell size, then a blocked numpy
+walk of the enumeration tree over a column-permuted Hermite triangular basis
+lists every lattice vector of the current shell; shells double until 2n
+independent vectors exist. Polar lattices come from the integer adjugate.
 """
 
 from __future__ import annotations
@@ -37,42 +38,28 @@ class EnumerationBudgetError(RuntimeError):
 # exact linear algebra helpers
 
 
-def _int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Bareiss fraction-free determinant."""
-    a = [list(map(int, r)) for r in rows]
-    m = len(a)
+def _int_adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] | None]:
+    """(det, adj) with adj @ rows = det * I, by fraction-free Gauss-Jordan
+    elimination (Bareiss) of [rows | I]; adj is None when det = 0."""
+    m = len(rows)
+    a = [[int(v) for v in r] + [int(i == j) for j in range(m)] for i, r in enumerate(rows)]
     sign = 1
     prev = 1
-    for k in range(m - 1):
-        if a[k][k] == 0:
-            piv = next((r for r in range(k + 1, m) if a[r][k] != 0), None)
-            if piv is None:
-                return 0
+    for k in range(m):
+        piv = next((r for r in range(k, m) if a[r][k] != 0), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
-        for i in range(k + 1, m):
-            for j in range(k + 1, m):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
-
-
-def _frac_inv(rows: Sequence[Sequence[int]]) -> list[list[Fraction]]:
-    m = len(rows)
-    a = [[Fraction(v) for v in r] + [Fraction(int(i == j)) for j in range(m)] for i, r in enumerate(rows)]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        s = a[col][col]
-        a[col] = [v / s for v in a[col]]
-        for r in range(m):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [row[m:] for row in a]
+        ak = a[k]
+        for i in range(m):
+            if i != k:
+                ai = a[i]
+                a[i] = [(ak[k] * x - ai[k] * y) // prev for x, y in zip(ai, ak)]
+        prev = ak[k]
+    # the left block is now prev * I with prev = det of the row-swapped matrix
+    return sign * prev, [[sign * v for v in r[m:]] for r in a]
 
 
 def _independent_add(echelon: list[list[int]], vec: Sequence[int]) -> bool:
@@ -113,10 +100,14 @@ class IntLattice:
 
     @property
     def det(self) -> int:
-        cached = getattr(self, "_det", None)
+        return self._adjugate[0]
+
+    @property
+    def _adjugate(self) -> tuple[int, list[list[int]] | None]:
+        cached = getattr(self, "_adj", None)
         if cached is None:
-            cached = _int_det(self.rows)
-            object.__setattr__(self, "_det", cached)
+            cached = _int_adjugate(self.rows)
+            object.__setattr__(self, "_adj", cached)
         return cached
 
     @property
@@ -128,12 +119,9 @@ class IntLattice:
         return cls(tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim)))
 
     def coefficients_of(self, vec: Sequence[Fraction | int]) -> list[Fraction]:
-        inv = getattr(self, "_inv", None)
-        if inv is None:
-            inv = _frac_inv(self.rows)
-            object.__setattr__(self, "_inv", inv)
+        det, adj = self._adjugate
         scaled = [Fraction(v) * self.denom for v in vec]
-        return [sum(scaled[k] * inv[k][i] for k in range(self.dim)) for i in range(self.dim)]
+        return [sum(scaled[k] * adj[k][i] for k in range(self.dim)) / det for i in range(self.dim)]
 
     def contains(self, vec: Sequence[Fraction | int]) -> bool:
         return all(c.denominator == 1 for c in self.coefficients_of(vec))
@@ -143,27 +131,14 @@ class IntLattice:
 
 
 def polar_of(lattice: IntLattice) -> IntLattice:
-    """Dual lattice {u : <u, v> integer for all v in the lattice}."""
-    det = lattice.det
-    inv = _frac_inv(lattice.rows)
-    m = lattice.dim
-    adj_t = [[inv[j][i] * det for j in range(m)] for i in range(m)]  # adj(R)^T rows
-    rows = [[Fraction(lattice.denom) * adj_t[i][j] for j in range(m)] for i in range(m)]
-    den = abs(det)
+    """Dual lattice {u : <u, v> integer for all v in the lattice}.
+
+    For rows R / denom the dual rows are denom * adj(R)^T / det(R)."""
+    det, adj = lattice._adjugate
     sign = 1 if det > 0 else -1
-    int_rows = []
-    for r in rows:
-        out_row = []
-        for v in r:
-            scaled = v * sign
-            assert scaled.denominator == 1
-            out_row.append(int(scaled))
-        int_rows.append(out_row)
-    g = den
-    for r in int_rows:
-        for v in r:
-            g = math.gcd(g, abs(v))
-    return IntLattice(tuple(tuple(v // g for v in r) for r in int_rows), den // g)
+    rows = [[sign * lattice.denom * adj[j][i] for j in range(lattice.dim)] for i in range(lattice.dim)]
+    g = math.gcd(abs(det), *(abs(v) for r in rows for v in r))
+    return IntLattice(tuple(tuple(v // g for v in r) for r in rows), abs(det) // g)
 
 
 @dataclass(frozen=True)
@@ -237,54 +212,59 @@ def polar_body(weights: Sequence[int]) -> GaugeBody:
 
 
 # ---------------------------------------------------------------------------
-# exact LLL seeding
+# integral LLL seeding
 
 
-def _lll_rows(rows: Sequence[Sequence[int]], scale: Sequence[Fraction]) -> list[list[int]]:
-    """LLL-reduce integer rows under the rescaled l2 metric; exact arithmetic."""
-    basis = [[Fraction(v) * s for v, s in zip(r, scale)] for r in rows]
-    ints = [list(map(int, r)) for r in rows]
-    m = len(basis)
-
-    def gram_schmidt():
-        ortho: list[list[Fraction]] = []
-        for vec in basis:
-            w = list(vec)
-            for u in ortho:
-                uu = sum(x * x for x in u)
-                if uu:
-                    f = sum(x * y for x, y in zip(w, u)) / uu
-                    w = [x - f * y for x, y in zip(w, u)]
-            ortho.append(w)
-        return ortho
-
-    ortho = gram_schmidt()
-    delta = Fraction(3, 4)
+def _lll_rows(rows: Sequence[Sequence[int]], scale: Sequence[int]) -> list[list[int]]:
+    """LLL-reduce (delta = 3/4) independent integer rows under the l2 metric
+    with coordinate j stretched by scale[j]: fraction-free integral LLL (Cohen,
+    Alg. 2.6.7) with d[i] the Gram determinant of the first i rows and
+    lam[k][j] = mu_kj * d[j + 1]. Row k is fully size-reduced before its
+    Lovasz test; mu rounds half to even."""
+    b = [list(map(int, r)) for r in rows]
+    m = len(b)
+    sq = [s * s for s in scale]
+    d = [1] * (m + 1)
+    lam = [[0] * m for _ in range(m)]
+    for k in range(m):
+        for j in range(k + 1):
+            u = sum(x * y * w for x, y, w in zip(b[k], b[j], sq))
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            lam[k][j] = u
+        d[k + 1] = lam[k][k]  # the diagonal of lam is never read again
     k = 1
     guard = 0
     while k < m and guard < 10_000:
         guard += 1
+        lk = lam[k]
         for j in range(k - 1, -1, -1):
-            uu = sum(x * x for x in ortho[j])
-            if not uu:
-                continue
-            mu = sum(x * y for x, y in zip(basis[k], ortho[j])) / uu
-            if abs(mu) > Fraction(1, 2):
-                r = round(mu)
-                basis[k] = [x - r * y for x, y in zip(basis[k], basis[j])]
-                ints[k] = [x - r * y for x, y in zip(ints[k], ints[j])]
-        uu_prev = sum(x * x for x in ortho[k - 1])
-        mu_k = (
-            sum(x * y for x, y in zip(basis[k], ortho[k - 1])) / uu_prev if uu_prev else Fraction(0)
-        )
-        if sum(x * x for x in ortho[k]) >= (delta - mu_k * mu_k) * uu_prev:
+            dj = d[j + 1]
+            if 2 * abs(lk[j]) > dj:
+                q, r = divmod(lk[j], dj)
+                if 2 * r > dj or (2 * r == dj and q & 1):
+                    q += 1
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                lk[j] -= q * dj
+                for i in range(j):
+                    lk[i] -= q * lam[j][i]
+        t = lk[k - 1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] * d[k] - 4 * t * t:
             k += 1
-        else:
-            basis[k], basis[k - 1] = basis[k - 1], basis[k]
-            ints[k], ints[k - 1] = ints[k - 1], ints[k]
-            ortho = gram_schmidt()
-            k = max(k - 1, 1)
-    return ints
+            continue
+        # swap rows k-1, k and update d, lam in place (Cohen's SWAPI)
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        dk = (d[k - 1] * d[k + 1] + t * t) // d[k]
+        for i in range(k + 1, m):
+            li = lam[i]
+            old = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - t * old) // d[k]
+            li[k - 1] = (dk * old + t * li[k]) // d[k + 1]
+        d[k] = dk
+        k = max(k - 1, 1)
+    return b
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +298,9 @@ def _hnf_upper(rows: Sequence[Sequence[int]]) -> list[list[int]] | None:
     return h
 
 
+_BLOCK = 1 << 14  # rows per child slice in _enumerate_shell
+
+
 class _NodeCounter:
     __slots__ = ("nodes", "budget")
 
@@ -339,56 +322,70 @@ def _enumerate_shell(
     counter: _NodeCounter,
 ) -> np.ndarray:
     """All nonzero lattice vectors v = c @ hnf with |v_j| <= bounds[j]
-    (and the l1 cap, when given), in the hnf coordinate order."""
-    m = len(hnf)
-    out: list[tuple[int, ...]] = []
-    acc = [0] * m
+    (and the l1 cap, when given), in the hnf coordinate order.
 
-    def descend(level: int, running: int):
-        if level == m:
-            if any(acc):
-                out.append(tuple(acc))
-            return
-        hrow = hnf[level]
-        piv = hrow[level]
+    Level i fixes coefficient c_i, which fixes coordinate i. The tree is
+    walked depth first over blocks of partial vectors (acc, running l1 sum):
+    a level spends the summed child counts of its block on the counter and
+    yields the children in slices of at most _BLOCK rows, one at a time, so
+    scratch memory stays near m * _BLOCK rows besides the output.
+    """
+    m = len(hnf)
+    _check_int64_range(hnf, bounds, l1_weights, l1_cap)
+    h = np.array(hnf, dtype=np.int64)
+
+    def children(level: int, acc: np.ndarray, running: np.ndarray):
+        piv = hnf[level][level]
+        base = acc[:, level]
         cb = bounds[level]
         if l1_cap is not None:
-            rem = (l1_cap - running) // l1_weights[level]
-            if rem < cb:
-                cb = rem
-        if cb < 0:
-            return
-        base = acc[level]
+            cb = np.minimum(cb, (l1_cap - running) // l1_weights[level])
         c_lo = -((cb + base) // piv)
-        c_hi = (cb - base) // piv
-        if c_lo > c_hi:
-            return
-        counter.spend(c_hi - c_lo + 1)
-        saved = acc[level:]
-        for j in range(level, m):
-            acc[j] += c_lo * hrow[j]
-        for _ in range(c_lo, c_hi + 1):
-            if l1_cap is not None:
-                descend(level + 1, running + l1_weights[level] * abs(acc[level]))
+        width = np.maximum((cb - base) // piv - c_lo + 1, 0)
+        ends = np.cumsum(width)
+        total = int(ends[-1])
+        counter.spend(total)
+        first = ends - width
+        for start in range(0, total, _BLOCK):
+            idx = np.arange(start, min(start + _BLOCK, total))
+            parent = np.searchsorted(ends, idx, side="right")
+            child = acc[parent]
+            child += (c_lo[parent] + idx - first[parent])[:, None] * h[level]
+            if l1_cap is None:
+                yield child, running
             else:
-                descend(level + 1, running)
-            for j in range(level, m):
-                acc[j] += hrow[j]
-        acc[level:] = saved
+                yield child, running[parent] + l1_weights[level] * np.abs(child[:, level])
 
-    descend(0, 0)
-    if not out:
-        return np.empty((0, m), dtype=np.int64)
-    return np.array(out, dtype=np.int64)
+    out: list[np.ndarray] = []
+    stack = [children(0, np.zeros((1, m), dtype=np.int64), np.zeros(1, dtype=np.int64))]
+    while stack:
+        block = next(stack[-1], None)
+        if block is None:
+            stack.pop()
+        elif len(stack) < m:
+            stack.append(children(len(stack), *block))
+        else:
+            vecs = block[0]
+            out.append(vecs[vecs.any(axis=1)])
+    return np.concatenate(out)  # the zero vector's leaf always exists
 
 
-def _sign_normalize(vecs: np.ndarray) -> np.ndarray:
-    """Flip signs so the first nonzero entry of each row is positive."""
-    if len(vecs) == 0:
-        return vecs
-    first = np.argmax(vecs != 0, axis=1)
-    signs = np.sign(vecs[np.arange(len(vecs)), first])
-    return vecs * signs[:, None]
+def _check_int64_range(
+    hnf: list[list[int]], bounds: list[int], l1_weights: tuple[int, ...] | None, l1_cap: int | None
+) -> None:
+    """Raise OverflowError unless every value _enumerate_shell forms fits int64:
+    |c_i| <= (bounds[i] + |base_i|) // pivot_i, |partial v_j| <= sum_k |c_k hnf[k][j]|."""
+    m = len(hnf)
+    cmax: list[int] = []
+    for i in range(m):
+        reach = sum(c * abs(hnf[k][i]) for k, c in enumerate(cmax))
+        cmax.append((bounds[i] + reach) // hnf[i][i])
+    reach = max(sum(c * abs(hnf[k][j]) for k, c in enumerate(cmax)) for j in range(m))
+    top = reach + max(bounds)
+    if l1_cap is not None:
+        top += l1_cap + sum(w * b for w, b in zip(l1_weights, bounds))
+    if 4 * _BLOCK * top >= 2**63:
+        raise OverflowError("shell enumeration would overflow int64")
 
 
 @dataclass(frozen=True, eq=False)
@@ -458,20 +455,18 @@ def _shell_vectors(
     w = body.coord_weights()
     l1_cap = body.l1_cap(lam, lattice.denom)
     l1_weights = tuple(w[j] for j in order) if l1_cap is not None else None
-    perm_bounds = [bounds[j] for j in order]
-    vecs = _enumerate_shell(hnf, perm_bounds, l1_weights, l1_cap, counter)
-    if len(vecs) == 0:
-        return vecs
-    undo = np.argsort(order)
-    return vecs[:, undo]
+    vecs = _enumerate_shell(hnf, [bounds[j] for j in order], l1_weights, l1_cap, counter)
+    return vecs[:, np.argsort(order)]
 
 
 def _lll_seed_gauges(lattice: IntLattice, body: GaugeBody) -> tuple[Fraction, Fraction]:
+    # the gauge metric stretches coordinate j by 1/(denom w_j) (box) or
+    # w_j/denom (polar); a common rescale to integers leaves LLL unchanged
     w = body.coord_weights()
     if body.kind == "box":
-        scale = [Fraction(1, lattice.denom * wi) for wi in w]
+        scale = [math.lcm(*w) // wi for wi in w]
     else:
-        scale = [Fraction(wi, lattice.denom) for wi in w]
+        scale = list(w)
     reduced = _lll_rows(lattice.rows, scale)
     gauges = [body.gauge(r, lattice.denom) for r in reduced]
     return min(gauges), max(gauges)
@@ -512,7 +507,7 @@ def successive_minima(
 
 def _greedy_minima(lattice: IntLattice, body: GaugeBody, vecs: np.ndarray):
     """Sort enumerated vectors by (gauge, canonical order) and keep the first
-    linearly independent ones."""
+    linearly independent ones. Sign-normalizes vecs in place."""
     if len(vecs) == 0:
         return None
     m = lattice.dim
@@ -520,17 +515,19 @@ def _greedy_minima(lattice: IntLattice, body: GaugeBody, vecs: np.ndarray):
     w = body.coord_weights()
     av = np.abs(vecs)
     if body.kind == "box":
-        mult = np.array([scale // (lattice.denom * wi) for wi in w], dtype=np.int64)
-        keys = (av * mult).max(axis=1)
+        av *= np.array([scale // (lattice.denom * wi) for wi in w], dtype=np.int64)
+        keys = av.max(axis=1)
     else:
         keys = av @ np.array(w, dtype=np.int64)
-    canon = _sign_normalize(vecs)
-    order = np.lexsort(tuple(canon[:, j] for j in reversed(range(m))) + (keys,))
+    del av
+    first = np.argmax(vecs != 0, axis=1)  # canonical sign: first nonzero entry > 0
+    vecs *= np.sign(vecs[np.arange(len(vecs)), first])[:, None]
+    order = np.lexsort(tuple(vecs[:, j] for j in reversed(range(m))) + (keys,))
     lams: list[Fraction] = []
     wits: list[tuple[int, ...]] = []
     echelon: list[list[int]] = []
     for i in order:
-        vec = tuple(int(x) for x in canon[i])
+        vec = tuple(int(x) for x in vecs[i])
         if _independent_add(echelon, vec):
             lams.append(Fraction(int(keys[i]), scale))
             wits.append(vec)
