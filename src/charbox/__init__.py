@@ -7,7 +7,6 @@ from .boxes import (
     degenerate_pair_set,
     difference_box,
     format_box_spec,
-    omega_line_count_bruteforce,
     omega_line_intersection,
     parse_box_spec,
     scaled_box,
@@ -27,7 +26,6 @@ from .energy import (
     RatioProfile,
     TauProfile,
     energy,
-    energy_bruteforce,
     f_count,
     one_dim_f_counts,
     ratio_set,
@@ -44,7 +42,6 @@ from .field import (
     is_generating,
     is_irreducible,
     is_prime,
-    min_poly_degree,
 )
 from .harness import (
     BurgessTrace,

@@ -114,25 +114,19 @@ def scaled_box(box: Box, delta: float) -> Box:
     return Box(box.basis, (-1,) * box.ctx.n, tuple(int(shrink * h) + 1 for h in box.H))
 
 
+def _multiple_of_p(box: Box, i: int) -> int | None:
+    """The multiple of p in the range of coordinate i (unique as H_i <= p), or None."""
+    p = box.ctx.p
+    mult = (box.N[i] + box.H[i]) // p * p
+    return mult if mult > box.N[i] else None
+
+
 def omega_line_intersection(box: Box) -> int:
     """|B intersect omega_n F_p|: H_n if every range x_i, i < n, covers a
     multiple of p (the coordinate 0 mod p), else 0."""
-    p = box.ctx.p
-    for i in range(box.ctx.n - 1):
-        lo, hi = box.N[i] + 1, box.N[i] + box.H[i]
-        if (hi // p) * p < lo:  # largest multiple of p below hi misses the range
-            return 0
+    if any(_multiple_of_p(box, i) is None for i in range(box.ctx.n - 1)):
+        return 0
     return box.H[box.ctx.n - 1]
-
-
-def omega_line_count_bruteforce(box: Box) -> int:
-    """Oracle: enumerate B and count elements proportional to omega_n."""
-    count = 0
-    for _, elem in box.elements():
-        coords = box.basis.coords_of(elem)
-        if not any(coords[:-1]):
-            count += 1
-    return count
 
 
 def subdivide_box(box: Box) -> list[Box]:
@@ -163,15 +157,8 @@ def subdivide_box(box: Box) -> list[Box]:
 def degenerate_pair_closed_form(box: Box) -> set[tuple[int, int]]:
     """Closed form of the degenerate pair set: the unique pair of
     coordinates that are 0 mod p, when both outer ranges contain one."""
-    p = box.ctx.p
-    hits = []
-    for i in range(2):
-        lo, hi = box.N[i] + 1, box.N[i] + box.H[i]
-        mult = (hi // p) * p
-        if mult < lo:
-            return set()
-        hits.append(mult)
-    return {(hits[0], hits[1])}
+    hits = [_multiple_of_p(box, i) for i in range(2)]
+    return set() if None in hits else {(hits[0], hits[1])}
 
 
 def degenerate_pair_set(box: Box, scan_budget: int = 2**22) -> set[tuple[int, int]]:

@@ -50,8 +50,12 @@ class Character:
     def values_at(self, idx: np.ndarray) -> np.ndarray:
         """chi at encoded elements; chi(0) = 0."""
         dlogs = self.ctx.dlog[idx]
+        return self._of_dlogs(dlogs, dlogs < 0)
+
+    def _of_dlogs(self, dlogs: np.ndarray, zero: np.ndarray) -> np.ndarray:
+        """exp(2 pi i k dlogs / (q-1)), and 0 where zero is set."""
         vals = np.exp((2j * np.pi / self.ctx.q1) * (self.k * dlogs % self.ctx.q1))
-        vals[dlogs < 0] = 0
+        vals[zero] = 0
         return vals
 
 
@@ -134,9 +138,7 @@ def complete_poly_char_sum(chi: Character, roots: list[tuple[FqElem, int]]) -> P
         dl = ctx.dlog[shifted]
         zero_mask |= dl < 0
         acc = (acc + e * np.where(dl < 0, 0, dl)) % ctx.q1
-    vals = np.exp((2j * np.pi / ctx.q1) * (chi.k * acc % ctx.q1))
-    vals[zero_mask] = 0
-    value = _fsum_complex(vals)
+    value = _fsum_complex(chi._of_dlogs(acc, zero_mask))
     return PolyCharSum(value, m, (m - 1) * math.sqrt(ctx.q), degenerate)
 
 
@@ -163,11 +165,15 @@ def interval_sums_scan(chi: Character, a: FqElem) -> np.ndarray:
     Polya-Vinogradov pilot scans via prefix sums.
     """
     ctx = chi.ctx
-    vals = chi.values_at(ctx.add_int_array(ctx.encode(a), np.arange(1, ctx.p + 1, dtype=np.int64)))
+    ts = np.arange(1, ctx.p + 1, dtype=np.int64)
+    return _subinterval_abs(chi.values_at(ctx.add_int_array(ctx.encode(a), ts)))
+
+
+def _subinterval_abs(vals: np.ndarray) -> np.ndarray:
+    """|vals[lo] + ... + vals[hi]| for all lo <= hi, in np.triu_indices order."""
     prefix = np.concatenate([[0j], np.cumsum(vals)])
-    diff = prefix[None, 1:] - prefix[:-1, None]  # diff[i, j] = sum over [i+1, j+1]
-    lo_idx, hi_idx = np.triu_indices(ctx.p)
-    return np.abs(diff[lo_idx, hi_idx])
+    lo, hi = np.triu_indices(len(vals))
+    return np.abs(prefix[hi + 1] - prefix[lo])
 
 
 @dataclass(frozen=True)
@@ -197,12 +203,7 @@ def tall_box_identity(chi: Character, box: Box) -> TallBoxSplit:
     ratios = [ctx.mul(box.basis.omega(i + 1), w_inv) for i in range(n - 1)]
     ratio_mat = np.array(ratios, dtype=np.int64)  # (n-1, n) power-basis rows
 
-    axes = [
-        np.arange(box.N[i] + 1, box.N[i] + box.H[i] + 1, dtype=np.int64)
-        for i in range(n - 1)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij") if axes else []
-    outer = np.stack([m.ravel() for m in mesh], axis=1)
+    outer = box.coords_grid()[:: box.H[n - 1], : n - 1]
     base_coeffs = (outer % ctx.p) @ ratio_mat % ctx.p
     base_idx = ctx.encode_array(base_coeffs)
 

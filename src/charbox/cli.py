@@ -13,10 +13,11 @@ import sys
 from .boxes import parse_box_spec
 from .characters import Character, box_char_sum
 from .energy import s_decomposition
-from .field import BasisMatrix, build_field
+from .field import build_field
 from .harness import burgess_trace, moment_sum
 from .lattice import classify_z, minima_for_z
 from .pilot import DEFAULT_FIXTURES_PATH, pilot_fixtures, write_fixtures
+from .sampling import _BOX_REGIMES, rng_for, sample_basis
 from .survey import ConfigError, ExperimentConfig, run_config, theorem_survey, write_report
 
 
@@ -32,7 +33,7 @@ def _add_field_flags(sub: argparse.ArgumentParser) -> None:
 def _build(args) -> tuple:
     modulus = [int(v) for v in args.modulus.split(",")] if args.modulus else None
     ctx = build_field(args.p, args.n, modulus=modulus, seed=args.seed)
-    basis = BasisMatrix.random(ctx, args.basis_seed)
+    basis = sample_basis(ctx, rng_for(args.basis_seed, ctx.p, ctx.n, 7))
     return ctx, basis
 
 
@@ -79,8 +80,7 @@ def main(argv=None) -> int:
     sp.add_argument("--box", type=str, action="append", default=None,
                     help="explicit box literal (repeatable)")
     sp.add_argument("--random-boxes", type=int, default=0)
-    sp.add_argument("--box-regime", type=str, default="any",
-                    choices=("any", "small", "tall", "admissible"))
+    sp.add_argument("--box-regime", type=str, default="any", choices=_BOX_REGIMES)
     sp.add_argument("--char-index", type=int, action="append", default=None)
     sp.add_argument("--random-chars", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0)
@@ -147,7 +147,6 @@ def main(argv=None) -> int:
             })
         if args.z_sweep:
             from .boxes import difference_box
-            from .sampling import rng_for
             b0_idx = difference_box(box).element_indices()
             nz = b0_idx[b0_idx != 0]
             rng = rng_for(args.seed, 31)

@@ -2,8 +2,9 @@
 
 Counts are exact integers throughout. Kernels run on dlog arrays: products
 become dlog sums and ratios become dlog differences, so histograms over
-pairs reduce to vectorized bincounts. The only floating point here is never
-used; inequality checks compare squared integers.
+pairs reduce to vectorized bincounts. Inequality checks compare integers
+(squared where a bound has a square root); the only float is the H_i <
+sqrt(p/2) hypothesis flag.
 """
 
 from __future__ import annotations
@@ -35,13 +36,23 @@ def _as_indices(ctx: FieldCtx, elements: Iterable[FqElem] | Box | np.ndarray) ->
     return np.unique(idx)
 
 
+def _pair_chunks(left_dlogs: np.ndarray, right_dlogs: np.ndarray, sign: int, q1: int):
+    """Yield (rows, keys) with keys[i, j] = left_dlogs[rows][i] + sign *
+    right_dlogs[j] mod q1, over row slices of about _CHUNK pairs each."""
+    signed = sign * right_dlogs
+    step = max(1, _CHUNK // max(1, len(right_dlogs)))
+    for start in range(0, len(left_dlogs), step):
+        rows = slice(start, start + step)
+        keys = left_dlogs[rows, None] + signed[None, :]
+        keys %= q1
+        yield rows, keys
+
+
 def _pair_bincount(ctx: FieldCtx, left_dlogs: np.ndarray, right_dlogs: np.ndarray, sign: int) -> np.ndarray:
     """Histogram over dlog(a) + sign*dlog(b) mod q-1 for all pairs (a, b)."""
     counts = np.zeros(ctx.q1, dtype=np.int64)
-    step = max(1, _CHUNK // max(1, len(right_dlogs)))
-    for start in range(0, len(left_dlogs), step):
-        chunk = left_dlogs[start : start + step, None] + sign * right_dlogs[None, :]
-        counts += np.bincount(chunk.ravel() % ctx.q1, minlength=ctx.q1)
+    for _, keys in _pair_chunks(left_dlogs, right_dlogs, sign, ctx.q1):
+        counts += np.bincount(keys.ravel(), minlength=ctx.q1)
     return counts
 
 
@@ -89,20 +100,6 @@ def energy(ctx: FieldCtx, elements: Iterable[FqElem] | Box | np.ndarray,
     return EnergyProfile(ctx, e, m, r_zero, counts)
 
 
-def energy_bruteforce(ctx: FieldCtx, elements: Iterable[FqElem]) -> int:
-    """Quadruple-definition oracle, O(|B|^3); for tiny sets only."""
-    elems = list(elements)
-    count = 0
-    for x in elems:
-        for y in elems:
-            xy = ctx.mul(x, y)
-            for w in elems:
-                for t in elems:
-                    if ctx.mul(w, t) == xy:
-                        count += 1
-    return count
-
-
 def f_count(ctx: FieldCtx, elements: Iterable[FqElem] | Box | np.ndarray, z: FqElem) -> int:
     """#{(x, y) in S^2 : xz = y}, exact."""
     idx = _as_indices(ctx, elements)
@@ -120,11 +117,10 @@ def f_count(ctx: FieldCtx, elements: Iterable[FqElem] | Box | np.ndarray, z: FqE
 def ratio_set(ctx: FieldCtx, elements: Iterable[FqElem] | Box | np.ndarray) -> set[FqElem]:
     """Z' = {y x^{-1} : x, y in S minus 0}."""
     idx = _as_indices(ctx, elements)
-    nz = idx[idx != 0]
-    if len(nz) == 0:
-        return set()
-    dlogs = ctx.dlog[nz]
-    diffs = np.unique((dlogs[None, :] - dlogs[:, None]).ravel() % ctx.q1)
+    dlogs = ctx.dlog[idx[idx != 0]]
+    diffs: set[int] = set()  # per-chunk uniques: no (q-1)-sized histogram for a small set
+    for _, keys in _pair_chunks(dlogs, dlogs, -1, ctx.q1):
+        diffs.update(np.unique(keys).tolist())
     return {ctx.decode(int(ctx.exp[d])) for d in diffs}
 
 

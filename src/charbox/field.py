@@ -1,10 +1,10 @@
 """Exact arithmetic in F_p and F_{p^n} for n in {1, 2, 3}.
 
 Elements are coefficient tuples in the power basis of a monic irreducible
-modulus polynomial. Every field carries a dense discrete-log table built by
-one multiplicative sweep, so downstream character evaluation is a table
-lookup. Fields are immutable after construction and safe to share between
-workers.
+modulus polynomial. Every field carries dense discrete-log and power tables
+built by one multiplicative sweep; characters read dlogs from them and
+evaluate chi only where asked. Fields are immutable after construction and
+safe to share between workers.
 """
 
 from __future__ import annotations
@@ -24,18 +24,7 @@ class FieldError(ValueError):
 
 
 def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
+    return m > 1 and factorize(m) == {m: 1}
 
 
 def factorize(m: int) -> dict[int, int]:
@@ -72,12 +61,13 @@ def _pmul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
                 out[i + j] = (out[i + j] + ai * bj) % p
     return _ptrim(out)
 
+
 def _pmod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
+    """a modulo the monic polynomial m over F_p."""
     a = _ptrim([c % p for c in a])
     dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
     while len(a) - 1 >= dm:
-        c = a[-1] * inv_lead % p
+        c = a[-1]
         shift = len(a) - 1 - dm
         for i, mi in enumerate(m):
             a[shift + i] = (a[shift + i] - c * mi) % p
@@ -85,54 +75,21 @@ def _pmod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
     return a
 
 
-def _psub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c % p
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _ptrim(out)
-
-
-def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    a, b = _ptrim(list(a)), _ptrim(list(b))
-    while b:
-        a, b = b, _pmod(a, b, p)
-    if a:  # monic normalization
-        inv = pow(a[-1], p - 2, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _ppow_mod(base: Sequence[int], e: int, m: Sequence[int], p: int) -> list[int]:
-    result = [1]
-    b = _pmod(base, m, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, b, p), m, p)
-        b = _pmod(_pmul(b, b, p), m, p)
-        e >>= 1
-    return result
-
-
 def is_irreducible(modulus: Sequence[int], p: int) -> bool:
-    """Monic degree-n polynomial has no monic factor of degree 1..n//2.
-
-    Tested through gcd(t^(p^d) - t, f) for d = 1..n//2, which captures all
-    factors of degree dividing d.
-    """
+    """Monic f of degree 1..3 is irreducible over F_p iff it has no root in
+    F_p, since a proper factorization would have a linear factor. Other
+    degrees are outside the fields built here and return False."""
     f = list(modulus)
     n = len(f) - 1
-    if n < 1 or f[-1] != 1:
+    if not 1 <= n <= 3 or f[-1] != 1:
         return False
     if n == 1:
         return True
-    for d in range(1, n // 2 + 1):
-        tp = _ppow_mod([0, 1], p**d, f, p)
-        g = _pgcd(_psub(tp, [0, 1], p), f, p)
-        if len(g) - 1 >= 1:
-            return False
-    return True
+    x = np.arange(p, dtype=np.int64)
+    val = np.zeros(p, dtype=np.int64)
+    for c in reversed(f):
+        val = (val * x + c) % p
+    return bool(val.all())
 
 
 def _find_irreducible(p: int, n: int, seed: int) -> tuple[int, ...]:
@@ -398,16 +355,6 @@ class BasisMatrix:
     def identity(cls, ctx: FieldCtx) -> "BasisMatrix":
         return cls(ctx, np.eye(ctx.n, dtype=np.int64))
 
-    @classmethod
-    def random(cls, ctx: FieldCtx, seed: int) -> "BasisMatrix":
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, ctx.p, ctx.n, 7]))
-        while True:
-            cols = rng.integers(0, ctx.p, size=(ctx.n, ctx.n))
-            try:
-                return cls(ctx, cols)
-            except FieldError:
-                continue
-
     def omega(self, i: int) -> FqElem:
         """omega_i for i in 1..n."""
         return tuple(int(c) for c in self.cols[:, i - 1])
@@ -425,37 +372,6 @@ class BasisMatrix:
 
 
 # ---------------------------------------------------------------------------
-
-
-def min_poly_degree(ctx: FieldCtx, a: FqElem) -> int:
-    """Degree of the minimal polynomial of a over F_p (1..n)."""
-    rows = []
-    power = ctx.one()
-    for k in range(ctx.n + 1):
-        rows.append(power)
-        power = ctx.mul(power, a)
-        mat = np.array(rows, dtype=np.int64)
-        if _rank_mod_p(mat, ctx.p) < len(rows):
-            return k  # 1, a, ..., a^k dependent: degree k
-    return ctx.n
-
-
-def _rank_mod_p(mat: np.ndarray, p: int) -> int:
-    a = mat.astype(np.int64) % p
-    rank = 0
-    rows, cols = a.shape
-    for col in range(cols):
-        piv = next((r for r in range(rank, rows) if a[r, col] % p), None)
-        if piv is None:
-            continue
-        a[[rank, piv]] = a[[piv, rank]]
-        s = pow(int(a[rank, col]), p - 2, p)
-        a[rank] = a[rank] * s % p
-        for r in range(rows):
-            if r != rank and a[r, col]:
-                a[r] = (a[r] - int(a[r, col]) * a[rank]) % p
-        rank += 1
-    return rank
 
 
 def is_generating(ctx: FieldCtx, a: FqElem) -> bool:

@@ -81,18 +81,6 @@ def bad_tuple_count(alphabet: int, r: int) -> int:
     return total
 
 
-def bad_tuple_count_bruteforce(alphabet: int, r: int) -> int:
-    """Exhaustive oracle over alphabet^(2r) tuples; tiny inputs only."""
-    from collections import Counter
-    from itertools import product
-
-    count = 0
-    for tup in product(range(alphabet), repeat=2 * r):
-        if all(v >= 2 for v in Counter(tup).values()):
-            count += 1
-    return count
-
-
 @dataclass(frozen=True)
 class MomentResult:
     value: float

@@ -15,6 +15,7 @@ independent vectors exist. Polar lattices come from the integer adjugate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -102,13 +103,9 @@ class IntLattice:
     def det(self) -> int:
         return self._adjugate[0]
 
-    @property
+    @functools.cached_property
     def _adjugate(self) -> tuple[int, list[list[int]] | None]:
-        cached = getattr(self, "_adj", None)
-        if cached is None:
-            cached = _int_adjugate(self.rows)
-            object.__setattr__(self, "_adj", cached)
-        return cached
+        return _int_adjugate(self.rows)
 
     @property
     def covolume(self) -> Fraction:
@@ -178,13 +175,20 @@ class GaugeBody:
             return denom * math.lcm(*self.weights)
         return denom
 
-    def gauge_key(self, vec: Sequence[int], denom: int) -> int:
-        """Integer K with gauge(vec/denom) = K / gauge_scale(denom)."""
+    def _stretch(self) -> tuple[int, ...]:
+        """Integer s_j with gauge(vec/denom) = max_j (box) or sum_j (polar) of
+        |vec_j| s_j over gauge_scale(denom): lcm(w)/w_j for the box, w_j for
+        the polar."""
         w = self.coord_weights()
         if self.kind == "box":
-            scale = self.gauge_scale(denom)
-            return max(abs(v) * (scale // (denom * wi)) for v, wi in zip(vec, w))
-        return sum(abs(v) * wi for v, wi in zip(vec, w))
+            top = math.lcm(*w)
+            return tuple(top // wi for wi in w)
+        return w
+
+    def gauge_key(self, vec: Sequence[int], denom: int) -> int:
+        """Integer K with gauge(vec/denom) = K / gauge_scale(denom)."""
+        terms = [abs(v) * s for v, s in zip(vec, self._stretch())]
+        return max(terms) if self.kind == "box" else sum(terms)
 
     def gauge(self, vec: Sequence[int], denom: int) -> Fraction:
         return Fraction(self.gauge_key(vec, denom), self.gauge_scale(denom))
@@ -320,15 +324,19 @@ def _enumerate_shell(
     l1_weights: tuple[int, ...] | None,
     l1_cap: int | None,
     counter: _NodeCounter,
+    cols=slice(None),
 ) -> np.ndarray:
     """All nonzero lattice vectors v = c @ hnf with |v_j| <= bounds[j]
-    (and the l1 cap, when given), in the hnf coordinate order.
+    (and the l1 cap, when given); column k of the result is hnf coordinate
+    cols[k].
 
     Level i fixes coefficient c_i, which fixes coordinate i. The tree is
     walked depth first over blocks of partial vectors (acc, running l1 sum):
     a level spends the summed child counts of its block on the counter and
     yields the children in slices of at most _BLOCK rows, one at a time, so
-    scratch memory stays near m * _BLOCK rows besides the output.
+    scratch memory stays near m * _BLOCK rows besides the output. Leaf
+    slices wait in the narrowest integer type that holds the bounds, so the
+    int64 result is the only full-width copy of the shell.
     """
     m = len(hnf)
     _check_int64_range(hnf, bounds, l1_weights, l1_cap)
@@ -357,6 +365,7 @@ def _enumerate_shell(
                 yield child, running[parent] + l1_weights[level] * np.abs(child[:, level])
 
     out: list[np.ndarray] = []
+    narrow = np.min_scalar_type(-max(bounds) - 1)  # leaf slices: every |v_j| <= bounds[j]
     stack = [children(0, np.zeros((1, m), dtype=np.int64), np.zeros(1, dtype=np.int64))]
     while stack:
         block = next(stack[-1], None)
@@ -366,8 +375,8 @@ def _enumerate_shell(
             stack.append(children(len(stack), *block))
         else:
             vecs = block[0]
-            out.append(vecs[vecs.any(axis=1)])
-    return np.concatenate(out)  # the zero vector's leaf always exists
+            out.append(vecs[vecs.any(axis=1)][:, cols].astype(narrow))
+    return np.concatenate(out, dtype=np.int64)  # the zero vector's leaf always exists
 
 
 def _check_int64_range(
@@ -455,19 +464,14 @@ def _shell_vectors(
     w = body.coord_weights()
     l1_cap = body.l1_cap(lam, lattice.denom)
     l1_weights = tuple(w[j] for j in order) if l1_cap is not None else None
-    vecs = _enumerate_shell(hnf, [bounds[j] for j in order], l1_weights, l1_cap, counter)
-    return vecs[:, np.argsort(order)]
+    return _enumerate_shell(hnf, [bounds[j] for j in order], l1_weights, l1_cap, counter,
+                            cols=np.argsort(order))
 
 
 def _lll_seed_gauges(lattice: IntLattice, body: GaugeBody) -> tuple[Fraction, Fraction]:
-    # the gauge metric stretches coordinate j by 1/(denom w_j) (box) or
-    # w_j/denom (polar); a common rescale to integers leaves LLL unchanged
-    w = body.coord_weights()
-    if body.kind == "box":
-        scale = [math.lcm(*w) // wi for wi in w]
-    else:
-        scale = list(w)
-    reduced = _lll_rows(lattice.rows, scale)
+    # LLL under the gauge's per-coordinate stretch; the common factor
+    # 1/gauge_scale leaves every LLL decision unchanged
+    reduced = _lll_rows(lattice.rows, body._stretch())
     gauges = [body.gauge(r, lattice.denom) for r in reduced]
     return min(gauges), max(gauges)
 
@@ -512,14 +516,8 @@ def _greedy_minima(lattice: IntLattice, body: GaugeBody, vecs: np.ndarray):
         return None
     m = lattice.dim
     scale = body.gauge_scale(lattice.denom)
-    w = body.coord_weights()
-    av = np.abs(vecs)
-    if body.kind == "box":
-        av *= np.array([scale // (lattice.denom * wi) for wi in w], dtype=np.int64)
-        keys = av.max(axis=1)
-    else:
-        keys = av @ np.array(w, dtype=np.int64)
-    del av
+    terms = (np.abs(vecs[:, j]) * s for j, s in enumerate(body._stretch()))  # one column at a time
+    keys = functools.reduce(np.maximum if body.kind == "box" else np.add, terms)
     first = np.argmax(vecs != 0, axis=1)  # canonical sign: first nonzero entry > 0
     vecs *= np.sign(vecs[np.arange(len(vecs)), first])[:, None]
     order = np.lexsort(tuple(vecs[:, j] for j in reversed(range(m))) + (keys,))
@@ -616,14 +614,8 @@ def _dyadic_index(t: Fraction) -> int:
     """j with 2^(j-1) <= t < 2^j (so j = floor(log2 t) + 1), t > 0."""
     if t <= 0:
         raise ValueError("dyadic index needs t > 0")
-    j = 1
-    while t >= 2:
-        t /= 2
-        j += 1
-    while t < 1:
-        t *= 2
-        j -= 1
-    return j
+    j = t.numerator.bit_length() - t.denominator.bit_length()  # 2^(j-1) < t < 2^(j+1)
+    return j + 1 if t >= Fraction(2) ** j else j
 
 
 def classify_z(box: Box, z: FqElem, node_budget: int = DEFAULT_NODE_BUDGET) -> ZClassification:

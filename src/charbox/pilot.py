@@ -18,11 +18,11 @@ from fractions import Fraction
 import numpy as np
 
 from .boxes import Box, difference_box, scaled_box
-from .characters import Character, interval_sums_scan
-from .energy import f_count, one_dim_f_counts, s_decomposition, tau_profile
+from .characters import Character, _subinterval_abs, interval_sums_scan
+from .energy import _pair_chunks, f_count, one_dim_f_counts, s_decomposition, tau_profile
 from .field import cached_field, is_generating
 from .harness import choose_parameters
-from .lattice import lambda1_star, minima_for_z
+from .lattice import _dyadic_index, lambda1_star, minima_for_z
 from .sampling import rng_for, sample_basis, sample_box, sample_character
 
 DEFAULT_PILOT_SEED = 20260801
@@ -36,8 +36,7 @@ def _lambda1_key_table(box: Box) -> tuple[np.ndarray, int]:
     ordered pairs of nonzero difference-box elements."""
     ctx = box.ctx
     b0 = difference_box(box)
-    coords = b0.coords_grid()
-    idx = ctx.encode_array(((coords % ctx.p) @ box.basis.cols.T) % ctx.p)
+    coords, idx = b0.coords_grid(), b0.element_indices()
     nz = idx != 0
     coords, idx = coords[nz], idx[nz]
     scale = math.lcm(*box.H)
@@ -46,10 +45,8 @@ def _lambda1_key_table(box: Box) -> tuple[np.ndarray, int]:
     dlogs = ctx.dlog[idx]
 
     table = np.full(ctx.q1, np.iinfo(np.int64).max, dtype=np.int64)
-    chunk = max(1, (1 << 21) // len(dlogs))
-    for start in range(0, len(dlogs), chunk):
-        dd = (dlogs[None, start : start + chunk] - dlogs[:, None]) % ctx.q1  # dlog(y) - dlog(x)
-        kk = np.maximum(keys[None, start : start + chunk], keys[:, None])
+    for rows, dd in _pair_chunks(dlogs, dlogs, -1, ctx.q1):  # dlog(y) - dlog(x)
+        kk = np.maximum(keys[rows, None], keys[None, :])
         np.minimum.at(table, dd.ravel(), kk.ravel())
     return table, scale
 
@@ -84,11 +81,8 @@ def _prime_interval_scan(chi: Character, omega_n) -> float:
     ctx = chi.ctx
     ts = np.arange(1, ctx.p + 1, dtype=np.int64)
     coords = (ts[:, None] * np.array(omega_n, dtype=np.int64)[None, :]) % ctx.p
-    vals = chi.values_at(ctx.encode_array(coords))
-    prefix = np.concatenate([[0j], np.cumsum(vals)])
-    diff = prefix[None, 1:] - prefix[:-1, None]
-    lo, hi = np.triu_indices(ctx.p)
-    return float(np.abs(diff[lo, hi]).max() / (math.sqrt(ctx.p) * math.log(ctx.p)))
+    scan = _subinterval_abs(chi.values_at(ctx.encode_array(coords)))
+    return float(scan.max() / (math.sqrt(ctx.p) * math.log(ctx.p)))
 
 
 def pilot_fixtures(
@@ -148,8 +142,7 @@ def pilot_fixtures(
                     lam_star, _ = lambda1_star(box, z)
                     k_t = max(k_t, float(lam_star * minima.lambdas[-1]))
                     if lam_star <= 1:
-                        t = Fraction(p) * lam_star / box.H[0]
-                        j_star = 1 + max(0, math.floor(math.log2(float(t)))) if t >= 1 else 0
+                        j_star = max(0, _dyadic_index(Fraction(p) * lam_star / box.H[0]))
                         # two candidate readings of the first dyadic breakpoint
                         polar_report.append(
                             {

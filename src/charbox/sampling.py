@@ -13,7 +13,10 @@ import numpy as np
 
 from .boxes import Box
 from .characters import Character
-from .field import BasisMatrix, FieldCtx
+from .field import BasisMatrix, FieldCtx, FieldError
+
+
+_BOX_REGIMES = ("any", "small", "tall", "admissible")
 
 
 def rng_for(seed: int, *key: int) -> np.random.Generator:
@@ -21,18 +24,13 @@ def rng_for(seed: int, *key: int) -> np.random.Generator:
 
 
 def small_edge_cap(p: int) -> int:
-    """Largest integer edge strictly below sqrt(p/2)."""
-    cap = int(math.sqrt(p / 2))
-    while cap + 1 < math.sqrt(p / 2):
-        cap += 1
-    while cap >= math.sqrt(p / 2):
-        cap -= 1
-    return max(1, cap)
+    """Largest integer edge strictly below sqrt(p/2) (c^2 < p/2 iff c^2 <= (p-1)//2)."""
+    return max(1, math.isqrt((p - 1) // 2))
 
 
 def sample_basis(ctx: FieldCtx, rng: np.random.Generator) -> BasisMatrix:
-    from .field import FieldError
-
+    """Invertible basis by rejection sampling; the CLI and survey basis seed
+    s draws from rng_for(s, p, n, 7)."""
     while True:
         cols = rng.integers(0, ctx.p, size=(ctx.n, ctx.n))
         try:

@@ -29,8 +29,8 @@ from .boxes import (
     omega_line_intersection,
 )
 from .characters import Character, box_char_sum, tall_box_identity
-from .field import BasisMatrix, cached_field
-from .sampling import rng_for, sample_box, sample_character
+from .field import cached_field
+from .sampling import _BOX_REGIMES, rng_for, sample_basis, sample_box, sample_character
 
 CSV_HEADERS = [
     "p", "n", "eps", "char_index", "basis_seed", "box", "H_sorted",
@@ -65,6 +65,8 @@ class ExperimentConfig:
             raise ConfigError(f"survey degree must be 2 or 3, got {self.n}")
         if not 0 < self.eps < 0.5:
             raise ConfigError(f"eps must lie in (0, 1/2), got {self.eps}")
+        if self.box_regime not in _BOX_REGIMES:
+            raise ConfigError(f"box_regime must be one of {_BOX_REGIMES}, got {self.box_regime!r}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
         if self.workers < 1:
@@ -136,7 +138,7 @@ def _survey_row(task: dict) -> dict:
 def _survey_row_inner(task: dict) -> dict:
     p, n = task["p"], task["n"]
     ctx = cached_field(p, n, modulus=task["modulus"], seed=task["seed"])
-    basis = BasisMatrix.random(ctx, task["basis_seed"])
+    basis = sample_basis(ctx, rng_for(task["basis_seed"], p, n, 7))
     if task["box_spec"] is not None:
         box = parse_box_spec(basis, task["box_spec"])
     else:

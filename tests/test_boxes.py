@@ -13,13 +13,13 @@ from charbox import (
     degenerate_pair_set,
     difference_box,
     format_box_spec,
-    omega_line_count_bruteforce,
     omega_line_intersection,
     parse_box_spec,
     scaled_box,
     subdivide_box,
 )
 from charbox.sampling import rng_for, sample_basis
+from oracles import omega_line_count_bruteforce, seeded_basis
 
 
 class TestEnumeration:
@@ -32,12 +32,12 @@ class TestEnumeration:
         assert elem == f31_2.elem([5, -6])
 
     def test_six_distinct_elements(self, f25):
-        box = Box(BasisMatrix.random(f25, 1), (0, 1), (2, 3))
+        box = Box(seeded_basis(f25, 1), (0, 1), (2, 3))
         idx = box.element_indices()
         assert box.size == 6 and len(set(idx.tolist())) == 6
 
     def test_full_coordinate_range_is_whole_field(self, f25):
-        box = Box(BasisMatrix.random(f25, 2), (0, 0), (5, 5))
+        box = Box(seeded_basis(f25, 2), (0, 0), (5, 5))
         assert sorted(box.element_indices().tolist()) == list(range(25))
 
     def test_distinctness_random(self, f31_3, id_basis_31_3):
@@ -86,7 +86,7 @@ class TestDifferenceBox:
         assert b0.ranges() == [range(-1, 2), range(-1, 2)]
 
     def test_contains_zero_and_differences(self, f31_2):
-        basis = BasisMatrix.random(f31_2, 3)
+        basis = seeded_basis(f31_2, 3)
         box = Box(basis, (2, -4), (3, 3))
         b0 = difference_box(box)
         idx0 = set(b0.element_indices().tolist())
@@ -149,6 +149,15 @@ class TestOmegaLine:
                       tuple(int(v) for v in rng.integers(1, 8, size=3)))
             assert omega_line_intersection(box) == omega_line_count_bruteforce(box)
 
+    @pytest.mark.parametrize("N", [(0, -1, 4), (-1, 31, 4), (-32, -1, 0), (31, 62, 0)])
+    def test_offset_on_multiple_of_p(self, f31_3, N):
+        # a range starting right after a multiple of p holds one only if H_i = p
+        basis = seeded_basis(f31_3, 5)
+        for H in [(3, 3, 4), (30, 3, 4), (31, 3, 4), (3, 31, 4)]:
+            box = Box(basis, N, H)
+            assert omega_line_intersection(box) == omega_line_count_bruteforce(box)
+            assert degenerate_pair_closed_form(box) == degenerate_pair_set(box)
+
     def test_wraparound_offsets(self, f31_3, id_basis_31_3):
         # offsets far from 0: the intersection criterion is 0 mod p
         box = Box(id_basis_31_3, (30, -32, 4), (3, 3, 7))
@@ -193,13 +202,13 @@ class TestSubdivision:
 
 class TestDegeneratePairs:
     def test_zero_in_both_ranges(self, f31_3):
-        basis = BasisMatrix.random(cached_field(31, 3, seed=0), 7)
+        basis = seeded_basis(cached_field(31, 3, seed=0), 7)
         box = Box(basis, (-1, -2, 0), (3, 4, 6))
         assert degenerate_pair_set(box) == {(0, 0)}
         assert degenerate_pair_closed_form(box) == {(0, 0)}
 
     def test_zero_missing(self, f31_3):
-        basis = BasisMatrix.random(cached_field(31, 3, seed=0), 7)
+        basis = seeded_basis(cached_field(31, 3, seed=0), 7)
         box = Box(basis, (1, -2, 0), (3, 4, 6))
         assert degenerate_pair_set(box) == set()
         assert degenerate_pair_closed_form(box) == set()

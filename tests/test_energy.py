@@ -1,3 +1,7 @@
+import importlib
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +11,6 @@ from charbox import (
     cached_field,
     difference_box,
     energy,
-    energy_bruteforce,
     f_count,
     ratio_set,
     s_decomposition,
@@ -15,7 +18,12 @@ from charbox import (
     tau_profile,
 )
 from charbox.energy import EnergyBudgetError, one_dim_f_counts
-from charbox.sampling import rng_for, sample_basis
+from charbox.lattice import minima_for_z
+from charbox.pilot import _lambda1_key_table
+from charbox.sampling import rng_for, sample_basis, sample_box
+from oracles import energy_bruteforce
+
+energy_mod = importlib.import_module("charbox.energy")  # the package re-exports a function `energy`
 
 
 def random_subset(ctx, rng, size, include_zero=False):
@@ -121,6 +129,66 @@ class TestRatioSet:
         got = ratio_set(f31_2, elems)
         assert got == expected
         assert len(got) <= len(nonzero) ** 2
+
+
+class TestPairSweep:
+    """_pair_bincount, ratio_set and the pilot's lambda_1 table share one
+    chunked pair sweep; a small _CHUNK spreads the pairs over several chunks."""
+
+    def test_bincount_matches_pair_loop(self, f31_2, monkeypatch):
+        monkeypatch.setattr(energy_mod, "_CHUNK", 20)  # 2 left rows per chunk, 7 chunks
+        rng = rng_for(0, 40)
+        left = rng.integers(0, f31_2.q1, size=13)
+        right = rng.integers(0, f31_2.q1, size=9)
+        for sign in (1, -1):
+            expected = np.zeros(f31_2.q1, dtype=np.int64)
+            for a in left.tolist():
+                for b in right.tolist():
+                    expected[(a + sign * b) % f31_2.q1] += 1
+            assert np.array_equal(energy_mod._pair_bincount(f31_2, left, right, sign), expected)
+
+    def test_ratio_set_matches_pair_loop(self, f31_2, monkeypatch):
+        monkeypatch.setattr(energy_mod, "_CHUNK", 25)
+        elems = random_subset(f31_2, rng_for(0, 41), 12, include_zero=True)
+        nonzero = [e for e in elems if any(e)]
+        assert ratio_set(f31_2, elems) == {f31_2.div(y, x) for x in nonzero for y in nonzero}
+
+    @pytest.mark.parametrize("p, n", [(31, 2), (31, 3)])
+    def test_lambda1_table_matches_pair_loop(self, monkeypatch, p, n):
+        monkeypatch.setattr(energy_mod, "_CHUNK", 1000)
+        ctx = cached_field(p, n, seed=0)
+        rng = rng_for(1, p, n)
+        box = Box(sample_basis(ctx, rng), (0,) * n, tuple(int(v) for v in rng.integers(1, 4, size=n)))
+        table, scale = _lambda1_key_table(box)
+        assert scale == math.lcm(*box.H)
+        pairs = [(coords, ctx.dlog_of(e)) for coords, e in difference_box(box).elements() if any(e)]
+        expected: dict[int, int] = {}
+        for cx, dx in pairs:
+            for cy, dy in pairs:
+                key = max(abs(c) * (scale // h) for c, h in zip(cx + cy, box.H * 2))
+                d = (dy - dx) % ctx.q1
+                expected[d] = min(expected.get(d, key), key)
+        hits = np.nonzero(table < np.iinfo(np.int64).max)[0]
+        assert {int(d): int(table[d]) for d in hits} == expected
+
+    @pytest.mark.parametrize("p, n", [(31, 2), (31, 3), (61, 2), (61, 3)])
+    def test_lambda1_table_equals_first_minimum(self, p, n):
+        ctx = cached_field(p, n, seed=0)
+        rng = rng_for(2, p, n)
+        for _ in range(2):
+            box = sample_box(sample_basis(ctx, rng), rng, regime="small")
+            table, scale = _lambda1_key_table(box)
+            b0 = difference_box(box).element_indices()
+            nz = b0[b0 != 0]
+            checked = 0
+            while checked < 8:
+                x, y = (ctx.decode(int(nz[i])) for i in rng.integers(0, len(nz), size=2))
+                z = ctx.div(y, x)
+                if ctx.in_prime_subfield(z):
+                    continue
+                lam1 = Fraction(int(table[ctx.dlog_of(z)]), scale)
+                assert minima_for_z(box, z).lambdas[0] == lam1
+                checked += 1
 
 
 class TestSDecomposition:

@@ -9,8 +9,8 @@ from charbox import (
     cached_field,
     is_generating,
     is_irreducible,
-    min_poly_degree,
 )
+from oracles import min_poly_degree, seeded_basis
 
 
 class TestBuildField:
@@ -47,12 +47,21 @@ class TestBuildField:
         assert is_irreducible(a.modulus, 7)
 
     def test_irreducibility_matches_root_search(self):
-        # degree <= 3: reducible iff a root exists
-        for c0 in range(7):
-            for c1 in range(7):
-                mod = [c0, c1, 1]
-                has_root = any((x * x + c1 * x + c0) % 7 == 0 for x in range(7))
-                assert is_irreducible(mod, 7) == (not has_root)
+        # degree <= 3: reducible iff a root exists; every quadratic mod 7,
+        # then random quadratics and cubics mod 7 and 31
+        cases = [(7, [c0, c1, 1]) for c0 in range(7) for c1 in range(7)]
+        rng = np.random.default_rng(0)
+        cases += [(p, [int(c) for c in rng.integers(0, p, size=n)] + [1])
+                  for p, n in [(7, 3), (31, 2), (31, 3)] for _ in range(300)]
+        for p, mod in cases:
+            has_root = any(sum(c * x**i for i, c in enumerate(mod)) % p == 0 for x in range(p))
+            assert is_irreducible(mod, p) == (not has_root)
+
+    def test_irreducibility_degree_range(self):
+        assert is_irreducible([3, 1], 7)
+        assert not is_irreducible([1], 7)  # degree 0
+        assert not is_irreducible([1, 0, 0, 0, 1], 7)  # degree 4: t^4 + 1 has no root mod 7 yet splits
+        assert not is_irreducible([3, 2], 7)  # not monic
 
 
 class TestArith:
@@ -124,18 +133,18 @@ class TestDlog:
 
 class TestBasis:
     def test_basis_columns(self, f25):
-        basis = BasisMatrix.random(f25, seed=9)
+        basis = seeded_basis(f25, 9)
         for i in range(1, 3):
             coords = [0, 0]
             coords[i - 1] = 1
             assert basis.elem_from_coords(coords) == basis.omega(i)
 
     def test_zero_maps_to_zero(self, f25):
-        basis = BasisMatrix.random(f25, seed=9)
+        basis = seeded_basis(f25, 9)
         assert basis.elem_from_coords([0, 0]) == f25.zero()
 
     def test_roundtrip_against_exhaustive_solve(self, f25):
-        basis = BasisMatrix.random(f25, seed=10)
+        basis = seeded_basis(f25, 10)
         rng = np.random.default_rng(5)
         for _ in range(10):
             x = tuple(int(v) for v in rng.integers(0, 5, size=2))
@@ -152,7 +161,7 @@ class TestBasis:
 
     def test_linearity(self, f31_2, id_basis_31_2):
         rng = np.random.default_rng(6)
-        basis = BasisMatrix.random(f31_2, seed=11)
+        basis = seeded_basis(f31_2, 11)
         for _ in range(30):
             x = rng.integers(-50, 50, size=2)
             y = rng.integers(-50, 50, size=2)

@@ -12,8 +12,8 @@ from charbox import (
     moment_sum,
     scaled_box,
 )
-from charbox.harness import bad_tuple_count_bruteforce
 from charbox.sampling import rng_for, sample_basis
+from oracles import bad_tuple_count_bruteforce
 
 
 class TestChooseParameters:

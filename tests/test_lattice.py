@@ -22,6 +22,7 @@ from charbox import (
     successive_minima,
     sup_box_body,
 )
+from charbox.lattice import _dyadic_index
 from charbox.sampling import small_edge_cap, rng_for, sample_basis, sample_z
 
 
@@ -254,6 +255,14 @@ class TestClassifyZ:
             if cls.j_star is not None:
                 t = Fraction(31) * cls.lambda1_star / nb.H[0]
                 assert Fraction(2) ** (cls.j_star - 1) <= t < Fraction(2) ** cls.j_star
+
+    def test_dyadic_index_brackets(self):
+        powers = [Fraction(2) ** k for k in range(-9, 10)]
+        for t in [Fraction(a, b) for a in range(1, 70) for b in range(1, 70)] + powers:
+            j = _dyadic_index(t)
+            assert Fraction(2) ** (j - 1) <= t < Fraction(2) ** j
+        with pytest.raises(ValueError):
+            _dyadic_index(Fraction(0))
 
     def test_s_equals_count_of_small_lambdas(self):
         ctx = cached_field(31, 2, seed=0)

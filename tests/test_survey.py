@@ -26,6 +26,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="eps"):
             ExperimentConfig.from_dict({"p_list": [31], "n": 2, "eps": 0.9, "random_boxes": 1})
 
+    def test_box_regime_validated(self, tmp_path, capsys):
+        from charbox.cli import main
+
+        data = {"p_list": [31], "n": 2, "random_boxes": 1, "box_regime": "smal"}
+        with pytest.raises(ConfigError, match="box_regime"):
+            ExperimentConfig.from_dict(data)
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+        assert "box_regime" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_parse_error_has_line_diagnostics(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{\n  "p_list": [31,,]\n}\n')
