@@ -10,15 +10,21 @@ import argparse
 import json
 import sys
 
-from .boxes import parse_box_spec
+from .boxes import BoxError, parse_box_spec
 from .characters import Character, box_char_sum
-from .energy import s_decomposition
-from .field import build_field
-from .harness import burgess_trace, moment_sum
-from .lattice import classify_z, minima_for_z
+from .energy import EnergyBudgetError, s_decomposition
+from .field import FieldError, build_field
+from .harness import RegimeError, burgess_trace, moment_sum
+from .lattice import EnumerationBudgetError, classify_z, minima_for_z
 from .pilot import DEFAULT_FIXTURES_PATH, pilot_fixtures, write_fixtures
 from .sampling import _BOX_REGIMES, rng_for, sample_basis
 from .survey import ConfigError, ExperimentConfig, run_config, theorem_survey, write_report
+
+
+# Input the command cannot act on: "error: <msg>" on stderr and exit 2, apart
+# from exit 1 for a check that ran and failed.
+_INPUT_ERRORS = (ConfigError, FieldError, BoxError, RegimeError, EnergyBudgetError,
+                 EnumerationBudgetError, OSError)
 
 
 def _add_field_flags(sub: argparse.ArgumentParser) -> None:
@@ -97,7 +103,14 @@ def main(argv=None) -> int:
     sp.add_argument("--out", type=str, default=None)
 
     args = parser.parse_args(argv)
+    try:
+        return _dispatch(args)
+    except _INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _dispatch(args) -> int:
     if args.command == "field":
         ctx, basis = _build(args)
         print(json.dumps({
@@ -225,14 +238,9 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "run":
-        try:
-            return run_config(args.config, out_override=args.out)
-        except (ConfigError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        return run_config(args.config, out_override=args.out)
 
-    parser.error(f"unknown command {args.command}")
-    return 2
+    raise AssertionError(f"unknown command {args.command}")  # argparse admits only the above
 
 
 if __name__ == "__main__":

@@ -36,24 +36,29 @@ def _as_indices(ctx: FieldCtx, elements: Iterable[FqElem] | Box | np.ndarray) ->
     return np.unique(idx)
 
 
-def _pair_chunks(left_dlogs: np.ndarray, right_dlogs: np.ndarray, sign: int, q1: int):
+def _pair_chunks(left_dlogs: np.ndarray, right_dlogs: np.ndarray, sign: int, modulus: int):
     """Yield (rows, keys) with keys[i, j] = left_dlogs[rows][i] + sign *
-    right_dlogs[j] mod q1, over row slices of about _CHUNK pairs each."""
+    right_dlogs[j] mod modulus, over row slices of about _CHUNK pairs each."""
     signed = sign * right_dlogs
     step = max(1, _CHUNK // max(1, len(right_dlogs)))
     for start in range(0, len(left_dlogs), step):
         rows = slice(start, start + step)
         keys = left_dlogs[rows, None] + signed[None, :]
-        keys %= q1
+        keys %= modulus
         yield rows, keys
 
 
-def _pair_bincount(ctx: FieldCtx, left_dlogs: np.ndarray, right_dlogs: np.ndarray, sign: int) -> np.ndarray:
-    """Histogram over dlog(a) + sign*dlog(b) mod q-1 for all pairs (a, b)."""
-    counts = np.zeros(ctx.q1, dtype=np.int64)
-    for _, keys in _pair_chunks(left_dlogs, right_dlogs, sign, ctx.q1):
-        counts += np.bincount(keys.ravel(), minlength=ctx.q1)
-    return counts
+def _pair_bincount(left_dlogs: np.ndarray, right_dlogs: np.ndarray, sign: int, modulus: int) -> np.ndarray:
+    """Histogram over dlog(a) + sign*dlog(b) mod modulus for all pairs (a, b).
+    The first chunk's bincount is the accumulator: one modulus-sized array
+    lives beside the current chunk's."""
+    counts = None
+    for _, keys in _pair_chunks(left_dlogs, right_dlogs, sign, modulus):
+        if counts is None:
+            counts = np.bincount(keys.ravel(), minlength=modulus)
+        else:
+            counts += np.bincount(keys.ravel(), minlength=modulus)
+    return np.zeros(modulus, dtype=np.int64) if counts is None else counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,9 +99,9 @@ def energy(ctx: FieldCtx, elements: Iterable[FqElem] | Box | np.ndarray,
         raise EnergyBudgetError(f"{m}^2 products exceed pair budget {pair_budget}")
     zeros = int((idx == 0).sum())
     dlogs = ctx.dlog[idx[idx != 0]]
-    counts = _pair_bincount(ctx, dlogs, dlogs, +1)
+    counts = _pair_bincount(dlogs, dlogs, +1, ctx.q1)
     r_zero = 2 * zeros * m - zeros * zeros  # pairs with x = 0 or y = 0
-    e = int((counts * counts).sum()) + r_zero * r_zero
+    e = int(counts @ counts) + r_zero * r_zero  # exact: E <= m^3 < 2^63 under the pair budget
     return EnergyProfile(ctx, e, m, r_zero, counts)
 
 
@@ -169,9 +174,16 @@ def one_dim_f_counts(p: int, h: int, z_values: np.ndarray) -> np.ndarray:
 
 def s_decomposition(box: Box, pair_budget: int = PAIR_BUDGET) -> RatioProfile:
     """Compute Z, f_0, S, S1, S2 for the difference box of B, check the
-    energy chain and the prime-subfield factorization of f_0."""
+    energy chain and the prime-subfield factorization of f_0.
+
+    B0 = -B0 and dlog(-1) = (q-1)/2, so the ratio histogram h_0 of B0 has
+    period (q-1)/2: it is twice the histogram of the sign class {dlog <
+    (q-1)/2} mod (q-1)/2, tiled twice (a quarter of the pairs). The sums
+    run over h_0 in closed form, S2 over the p - 1 prime-subfield bins and
+    the f, f_0 comparison over the nonzero bins of h_B; all exact int64.
+    """
     ctx = box.ctx
-    p = ctx.p
+    p, q1 = ctx.p, ctx.q1
     hypothesis_ok = all(h < math.sqrt(p / 2) for h in box.H)
     b0 = difference_box(box)
 
@@ -183,49 +195,46 @@ def s_decomposition(box: Box, pair_budget: int = PAIR_BUDGET) -> RatioProfile:
 
     d_b = ctx.dlog[idx_b[idx_b != 0]]
     d_b0 = ctx.dlog[idx_b0[idx_b0 != 0]]
-    h_b = _pair_bincount(ctx, d_b, d_b, -1)  # ratio histogram y/x over B
-    h_0 = _pair_bincount(ctx, d_b0, d_b0, -1)
+    h_b = _pair_bincount(d_b, d_b, -1, q1)  # ratio histogram y/x over B
+    half = d_b0[d_b0 < q1 // 2]  # one of each pair {x, -x}
+    h_0 = np.tile(_pair_bincount(half, half, -1, q1 // 2), 2)
+    h_0 *= 2
 
     e_b = energy(ctx, idx_b, pair_budget=pair_budget).E
     size = len(idx_b)
 
-    in_z = h_0 > 0
-    f0_vals = 1 + h_0
-    s_total = int((f0_vals[in_z] ** 2).sum())
-
-    subfield_dlogs = np.arange(0, ctx.q1, ctx.q1 // (p - 1), dtype=np.int64)
-    prime_mask = np.zeros(ctx.q1, dtype=bool)
-    prime_mask[subfield_dlogs] = True
-    s1 = int((f0_vals[in_z & ~prime_mask] ** 2).sum())
-    s2 = int((f0_vals[prime_mask] ** 2).sum())
+    # S = sum over Z of (1 + h_0)^2, with h_0 = 0 off Z
+    z_count = int(np.count_nonzero(h_0))
+    s_total = int(h_0 @ h_0) + 2 * int(h_0.sum()) + z_count
+    f0_sub = 1 + h_0[:: q1 // (p - 1)]  # f_0 on the prime subfield F_p^*
+    s2 = int(f0_sub @ f0_sub)
+    s1 = s_total - int((f0_sub[f0_sub > 1] ** 2).sum())
 
     zb = 1 if zero_in_b else 0
-    in_zprime = h_b > 0
-    f_vals = zb + h_b
-    sum_f_sq = int((f_vals[in_zprime] ** 2).sum())
+    in_zprime = np.flatnonzero(h_b)
+    f_vals = zb + h_b[in_zprime]
+    sum_f_sq = int(f_vals @ f_vals)
 
-    # f_0(z) = f_1(z) f_2(z) f_3(z) on the prime subfield
+    # f_0(z) = f_1(z) f_2(z) f_3(z) on the prime subfield; z in F_p has index z
     z_ints = np.arange(1, p, dtype=np.int64)
     product = np.ones(p - 1, dtype=np.int64)
     for h in box.H:
         product *= one_dim_f_counts(p, h, z_ints)
-    f0_prime = np.array(
-        [1 + int(h_0[ctx.dlog_of(ctx.from_int(int(z)))]) for z in z_ints], dtype=np.int64
-    )
+    f0_prime = 1 + h_0[ctx.dlog[z_ints]]
     factorization_ok = bool((product == f0_prime).all())
 
     checks = {
         "zero_in_B": zero_in_b,
         "chain_2_1": e_b <= 2 * size**2 + sum_f_sq,
         "chain_3sq": e_b <= 3 * size**2 + s_total,
-        "f_le_f0": bool((f_vals[in_zprime] <= f0_vals[in_zprime]).all()),
+        "f_le_f0": bool((f_vals <= 1 + h_0[in_zprime]).all()),
         "s_le_s1_plus_s2": s_total <= s1 + s2,
         "f0_factorizes_on_prime_subfield": factorization_ok,
-        "f0_at_least_one": bool((f0_vals >= 1).all()),
+        "f0_at_least_one": bool((h_0 >= 0).all()),
     }
     f_table = {int(z): int(v) for z, v in zip(z_ints, f0_prime)}
     return RatioProfile(
-        box, e_b, s_total, s1, s2, sum_f_sq, int(in_z.sum()), int(in_zprime.sum()),
+        box, e_b, s_total, s1, s2, sum_f_sq, z_count, len(in_zprime),
         f_table, hypothesis_ok, checks, h_0,
     )
 
@@ -264,10 +273,10 @@ def tau_profile(box: Box, box0: Box, pair_budget: int = PAIR_BUDGET) -> TauProfi
     nz_b = idx_b[idx_b != 0]
     nz_b0 = idx_b0[idx_b0 != 0]
 
-    cross = _pair_bincount(ctx, ctx.dlog[nz_b], ctx.dlog[nz_b0], -1)
+    cross = _pair_bincount(ctx.dlog[nz_b], ctx.dlog[nz_b0], -1, ctx.q1)
     tau_zero = (1 if zero_in_b else 0) * len(nz_b0)
     sum_tau = int(cross.sum()) + tau_zero
-    sum_tau_sq_nonzero = int((cross * cross).sum())
+    sum_tau_sq_nonzero = int(cross @ cross)
     sum_tau_sq = sum_tau_sq_nonzero + tau_zero * tau_zero
 
     e_b = energy(ctx, idx_b, pair_budget=pair_budget).E

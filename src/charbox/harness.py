@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -60,24 +59,20 @@ def bad_tuple_count(alphabet: int, r: int) -> int:
     """Number of (z_1..z_{2r}) over an alphabet where no value occurs exactly
     once, i.e. every used value occurs at least twice.
 
-    Exact: sum_k C(alphabet, k) * L! [x^L] (e^x - 1 - x)^k with L = 2r.
+    Exact: sum_k C(alphabet, k) a(k, 2r), where a(k, m) counts maps of m
+    positions onto k labelled values, each hit at least twice. Position m
+    joins a value hit at least twice without it, or pairs with one of the
+    m - 1 others: a(k, m) = k (a(k, m-1) + (m-1) a(k-1, m-2)).
     """
     length = 2 * r
-    base = [Fraction(0), Fraction(0)] + [
-        Fraction(1, math.factorial(j)) for j in range(2, length + 1)
-    ]
+    prev = [1] + [0] * length  # a(0, m)
     total = 0
-    poly = [Fraction(1)] + [Fraction(0)] * length  # (e^x - 1 - x)^0
     for k in range(1, length // 2 + 1):
-        nxt = [Fraction(0)] * (length + 1)
-        for i, c in enumerate(poly):
-            if c:
-                for j in range(2, length + 1 - i):
-                    nxt[i + j] += c * base[j]
-        poly = nxt
-        surj = poly[length] * math.factorial(length)
-        assert surj.denominator == 1
-        total += math.comb(alphabet, k) * int(surj)
+        row = [0] * (length + 1)
+        for m in range(2 * k, length + 1):
+            row[m] = k * (row[m - 1] + (m - 1) * prev[m - 2])
+        total += math.comb(alphabet, k) * row[length]
+        prev = row
     return total
 
 
@@ -99,9 +94,12 @@ def moment_sum(chi: Character, interval: range, r: int, budget: int = MOMENT_BUD
     """sum over u in F_q of |sum over z in I of chi(u+z)|^(2r), streamed over
     u in fixed-size chunks (memory independent of q), against the explicit
     bound 2 r q^(1/2) |I|^(2r) + q |I|^r r^(2r). u + z stays in u's row of p
-    indices, so chi is evaluated once on the rows enclosing a chunk and every
-    shift is gathered from there."""
+    indices, so chi is evaluated once on the rows enclosing a chunk, and
+    shift z adds those rows rotated left by z mod p, as two slices, into an
+    accumulator of the same shape: every u sums the same values in the same
+    order as a gather of chi(u + z) would."""
     ctx = chi.ctx
+    p = ctx.p
     size = len(interval)
     if size < 1:
         raise RegimeError("interval must be nonempty")
@@ -110,12 +108,14 @@ def moment_sum(chi: Character, interval: range, r: int, budget: int = MOMENT_BUD
     partials = []
     for start in range(0, ctx.q, _MOMENT_CHUNK):
         stop = min(start + _MOMENT_CHUNK, ctx.q)
-        lo = start - start % ctx.p
-        local = chi.values_at(np.arange(lo, -(-stop // ctx.p) * ctx.p, dtype=np.int64))
-        rel_u = np.arange(start - lo, stop - lo, dtype=np.int64)  # lo is a multiple of p
-        inner = np.zeros(len(rel_u), dtype=np.complex128)
+        lo = start - start % p
+        rows = chi.values_at(np.arange(lo, -(-stop // p) * p, dtype=np.int64)).reshape(-1, p)
+        acc = np.zeros_like(rows)
         for z in interval:
-            inner += local[ctx.add_int_array(rel_u, z)]
+            s = z % p
+            acc[:, : p - s] += rows[:, s:]
+            acc[:, p - s :] += rows[:, :s]
+        inner = acc.ravel()[start - lo : stop - lo]  # lo is a multiple of p
         partials.append(exact_sum(np.abs(inner) ** (2 * r)))
     value = exact_sum(partials)
     bound = 2 * r * math.sqrt(ctx.q) * float(size) ** (2 * r) + ctx.q * float(size) ** r * float(

@@ -5,12 +5,20 @@ Each oracle follows the textbook definition with no shared kernel, so an
 agreement with the library is independent evidence. Tiny inputs only.
 """
 
+import importlib
+import math
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
+from charbox.boxes import difference_box
+from charbox.characters import exact_sum
 from charbox.sampling import rng_for, sample_basis
+
+energy_mod = importlib.import_module("charbox.energy")  # the package re-exports a function `energy`
+harness = importlib.import_module("charbox.harness")
 
 
 def seeded_basis(ctx, seed: int):
@@ -49,6 +57,105 @@ def bad_tuple_count_bruteforce(alphabet: int, r: int) -> int:
         if all(v >= 2 for v in Counter(tup).values()):
             count += 1
     return count
+
+
+def bad_tuple_count_fraction(alphabet: int, r: int) -> int:
+    """sum_k C(alphabet, k) * L! [x^L] (e^x - 1 - x)^k with L = 2r, in
+    Fractions (the census before the integer recurrence)."""
+    length = 2 * r
+    base = [Fraction(0), Fraction(0)] + [
+        Fraction(1, math.factorial(j)) for j in range(2, length + 1)
+    ]
+    total = 0
+    poly = [Fraction(1)] + [Fraction(0)] * length  # (e^x - 1 - x)^0
+    for k in range(1, length // 2 + 1):
+        nxt = [Fraction(0)] * (length + 1)
+        for i, c in enumerate(poly):
+            if c:
+                for j in range(2, length + 1 - i):
+                    nxt[i + j] += c * base[j]
+        poly = nxt
+        surj = poly[length] * math.factorial(length)
+        assert surj.denominator == 1
+        total += math.comb(alphabet, k) * int(surj)
+    return total
+
+
+def moment_sum_gather(chi, interval, r):
+    """`harness.moment_sum` with each shift gathered through an index array
+    (u + z in u's row), chunked by `harness._MOMENT_CHUNK` like the library,
+    with the Fraction census."""
+    ctx = chi.ctx
+    size = len(interval)
+    partials = []
+    for start in range(0, ctx.q, harness._MOMENT_CHUNK):
+        stop = min(start + harness._MOMENT_CHUNK, ctx.q)
+        lo = start - start % ctx.p
+        local = chi.values_at(np.arange(lo, -(-stop // ctx.p) * ctx.p, dtype=np.int64))
+        rel_u = np.arange(start - lo, stop - lo, dtype=np.int64)
+        inner = np.zeros(len(rel_u), dtype=np.complex128)
+        for z in interval:
+            inner += local[ctx.add_int_array(rel_u, z)]
+        partials.append(exact_sum(np.abs(inner) ** (2 * r)))
+    value = exact_sum(partials)
+    bound = 2 * r * math.sqrt(ctx.q) * float(size) ** (2 * r) + ctx.q * float(size) ** r * float(
+        r
+    ) ** (2 * r)
+    bad = bad_tuple_count_fraction(size, r)
+    return harness.MomentResult(
+        value, bound, size ** (2 * r) - bad, bad, size**r * r ** (2 * r),
+        value <= bound + 1e-3, bad <= size**r * r ** (2 * r),
+    )
+
+
+def s_decomposition_dense(box):
+    """`energy.s_decomposition` with h_0 binned over all of B0's pairs mod
+    q - 1 and every sum taken over (q-1)-sized masks."""
+    ctx = box.ctx
+    p = ctx.p
+    hypothesis_ok = all(h < math.sqrt(p / 2) for h in box.H)
+    idx_b = np.unique(box.element_indices())
+    idx_b0 = np.unique(difference_box(box).element_indices())
+    zero_in_b = bool((idx_b == 0).any())
+    d_b = ctx.dlog[idx_b[idx_b != 0]]
+    d_b0 = ctx.dlog[idx_b0[idx_b0 != 0]]
+    h_b = energy_mod._pair_bincount(d_b, d_b, -1, ctx.q1)
+    h_0 = energy_mod._pair_bincount(d_b0, d_b0, -1, ctx.q1)
+    e_b = energy_mod.energy(ctx, idx_b).E
+    size = len(idx_b)
+
+    in_z = h_0 > 0
+    f0_vals = 1 + h_0
+    s_total = int((f0_vals[in_z] ** 2).sum())
+    prime_mask = np.zeros(ctx.q1, dtype=bool)
+    prime_mask[np.arange(0, ctx.q1, ctx.q1 // (p - 1))] = True
+    s1 = int((f0_vals[in_z & ~prime_mask] ** 2).sum())
+    s2 = int((f0_vals[prime_mask] ** 2).sum())
+    in_zprime = h_b > 0
+    f_vals = (1 if zero_in_b else 0) + h_b
+    sum_f_sq = int((f_vals[in_zprime] ** 2).sum())
+
+    z_ints = np.arange(1, p, dtype=np.int64)
+    product = np.ones(p - 1, dtype=np.int64)
+    for h in box.H:
+        product *= energy_mod.one_dim_f_counts(p, h, z_ints)
+    f0_prime = np.array(
+        [1 + int(h_0[ctx.dlog_of(ctx.from_int(int(z)))]) for z in z_ints], dtype=np.int64
+    )
+    checks = {
+        "zero_in_B": zero_in_b,
+        "chain_2_1": e_b <= 2 * size**2 + sum_f_sq,
+        "chain_3sq": e_b <= 3 * size**2 + s_total,
+        "f_le_f0": bool((f_vals[in_zprime] <= f0_vals[in_zprime]).all()),
+        "s_le_s1_plus_s2": s_total <= s1 + s2,
+        "f0_factorizes_on_prime_subfield": bool((product == f0_prime).all()),
+        "f0_at_least_one": bool((f0_vals >= 1).all()),
+    }
+    f_table = {int(z): int(v) for z, v in zip(z_ints, f0_prime)}
+    return energy_mod.RatioProfile(
+        box, e_b, s_total, s1, s2, sum_f_sq, int(in_z.sum()), int(in_zprime.sum()),
+        f_table, hypothesis_ok, checks, h_0,
+    )
 
 
 def min_poly_degree(ctx, a) -> int:

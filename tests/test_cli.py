@@ -32,3 +32,42 @@ def test_field_json_matches_golden(capsys, p, n, seed, basis_seed):
     assert main(argv) == 0
     golden = GOLDEN / f"field_p{p}_n{n}_seed{seed}_basis{basis_seed}.json"
     assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        # S decomposition of a box with every edge at the sqrt(p/2) cap
+        (["energy", "--p", "101", "--n", "3", "--box", "0:7,0:7,0:7"], "energy_p101_n3_box777.json"),
+        # |I| = 2 at eps = 0.3: tau profile, moment sum and census of the trace
+        (["burgess", "--p", "127", "--n", "3", "--box", "3:7,-2:5,10:6", "--char-index", "12345"],
+         "burgess_p127_n3_k12345.json"),
+        # an interval longer than p wraps every row of the moment sum
+        (["moments", "--p", "31", "--n", "3", "--char-index", "77", "--interval-len", "45", "--r", "2"],
+         "moments_p31_n3_k77_len45_r2.json"),
+    ],
+)
+def test_amplify_json_matches_golden(capsys, argv, golden):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["moments", "--p", "31", "--char-index", "3", "--interval-len", "0", "--r", "2"],
+         "interval must be nonempty"),
+        (["burgess", "--p", "31", "--box", "0:4,0:2", "--char-index", "3"], "edges below sqrt(p/2)"),
+        (["energy", "--p", "31", "--box", "0:20,0:3"], "difference box needs 2H_i + 1 <= p"),
+        (["charsum", "--p", "31", "--box", "0:40,0:3", "--char-index", "3"], "1 <= H_i <= p"),
+        (["field", "--p", "33"], "p = 33 is not prime"),
+        (BOX + ["--z-index", "777", "--budget", "1"], "enumeration exceeded 1 nodes"),
+    ],
+)
+def test_input_errors_exit_2(capsys, argv, message):
+    # a typed input error is a one-line message and exit 2; exit 1 means a check failed
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1

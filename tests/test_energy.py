@@ -1,6 +1,7 @@
 import importlib
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -140,12 +141,13 @@ class TestPairSweep:
         rng = rng_for(0, 40)
         left = rng.integers(0, f31_2.q1, size=13)
         right = rng.integers(0, f31_2.q1, size=9)
-        for sign in (1, -1):
-            expected = np.zeros(f31_2.q1, dtype=np.int64)
+        # modulus (q-1)/2: the difference box's histogram on F_q^*/{+-1}
+        for sign, modulus in product((1, -1), (f31_2.q1, f31_2.q1 // 2)):
+            expected = np.zeros(modulus, dtype=np.int64)
             for a in left.tolist():
                 for b in right.tolist():
-                    expected[(a + sign * b) % f31_2.q1] += 1
-            assert np.array_equal(energy_mod._pair_bincount(f31_2, left, right, sign), expected)
+                    expected[(a + sign * b) % modulus] += 1
+            assert np.array_equal(energy_mod._pair_bincount(left, right, sign, modulus), expected)
 
     def test_ratio_set_matches_pair_loop(self, f31_2, monkeypatch):
         monkeypatch.setattr(energy_mod, "_CHUNK", 25)
