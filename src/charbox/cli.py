@@ -18,7 +18,8 @@ from .harness import RegimeError, burgess_trace, moment_sum
 from .lattice import EnumerationBudgetError, classify_z, minima_for_z
 from .pilot import DEFAULT_FIXTURES_PATH, pilot_fixtures, write_fixtures
 from .sampling import _BOX_REGIMES, rng_for, sample_basis
-from .survey import ConfigError, ExperimentConfig, run_config, theorem_survey, write_report
+from .survey import (ConfigError, ExperimentConfig, print_error_rows, run_config, theorem_survey,
+                     write_report)
 
 
 # Input the command cannot act on: "error: <msg>" on stderr and exit 2, apart
@@ -226,6 +227,7 @@ def _dispatch(args) -> int:
         text = write_report(report, cfg.out)
         if not cfg.out:
             sys.stdout.write(text)
+        print_error_rows(report)
         return 0 if report.all_ok else 1
 
     if args.command == "pilot":

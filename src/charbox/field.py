@@ -188,7 +188,7 @@ class FieldCtx:
     def inv(self, a: FqElem) -> FqElem:
         if not any(a):
             raise ZeroDivisionError("inverse of zero")
-        return self.pow(a, self.q - 2)
+        return self.decode(int(self.exp[-self.dlog[self.encode(a)] % self.q1]))  # 1/g^m = g^(-m)
 
     def div(self, a: FqElem, b: FqElem) -> FqElem:
         return self.mul(a, self.inv(b))
@@ -302,8 +302,13 @@ def build_field(
 _FIELD_CACHE: dict[tuple, FieldCtx] = {}
 
 
+def field_key(p: int, n: int, modulus: Sequence[int] | None = None, seed: int = 0) -> tuple:
+    """The `_FIELD_CACHE` key of `cached_field(p, n, modulus, seed)`."""
+    return (p, n, tuple(modulus) if modulus is not None else None, seed)
+
+
 def cached_field(p: int, n: int, modulus: Sequence[int] | None = None, seed: int = 0) -> FieldCtx:
-    key = (p, n, tuple(modulus) if modulus is not None else None, seed)
+    key = field_key(p, n, modulus, seed)
     if key not in _FIELD_CACHE:
         _FIELD_CACHE[key] = build_field(p, n, modulus=modulus, seed=seed)
     return _FIELD_CACHE[key]

@@ -5,6 +5,21 @@ through the regime split (direct / subdivided / tall), measures the
 normalized character sum and runs the per-route identity checks. Rows are
 deterministic functions of (config, seed) and are reduced in grid order, so
 reports are byte-identical for any worker count.
+
+Surveys with workers > 1 share one process pool, started on the first such
+call and kept for later ones; a call with another worker count shuts it down
+and starts a new one, so at most one pool is alive. The pool belongs to the
+process that started it: a forked child starts without it. If a worker dies,
+the pool is dropped and the call runs once more on a fresh pool. Workers are
+forked, so they run the code as it was when the pool started (a function
+patched later in the parent is not seen until `_shutdown_pool()`), and they
+inherit the parent's field cache. A pool is kept past a call only if its
+workers built no field of their own: a call that needs a field they did not
+inherit starts a fresh pool, and if the parent does not hold that field
+either, the workers build it and the pool is shut down when the call ends.
+So workers never hold more fields than the parent did when they forked. The
+reuse pays only where one process makes several pooled calls; a single call,
+as `charbox survey` or `charbox run` makes, forks and joins one pool as before.
 """
 
 from __future__ import annotations
@@ -14,7 +29,10 @@ import io
 import json
 import math
 import os
+import sys
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -29,6 +47,7 @@ from .boxes import (
     omega_line_intersection,
 )
 from .characters import Character, box_char_sum, tall_box_identity
+from . import field
 from .field import cached_field
 from .sampling import _BOX_REGIMES, rng_for, sample_basis, sample_box, sample_character
 
@@ -236,12 +255,67 @@ def _build_tasks(cfg: ExperimentConfig) -> list[dict]:
     return tasks
 
 
+# The live survey pool as (workers, field keys, pool), or None; the keys are
+# those of the parent's field cache when the pool started, which its workers
+# inherited. Pooled calls from several threads take turns, so none shuts down a
+# pool another is using. A forked child starts with neither its parent's pool
+# nor its lock, which the fork may have caught held (pool workers are forked
+# inside a pooled call).
+_POOL: tuple[int, frozenset, ProcessPoolExecutor] | None = None
+_POOL_LOCK = threading.Lock()
+
+
+def _forget_pool() -> None:
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _shutdown_pool() -> None:
+    """Stop the pool, if any; the next pooled call starts a fresh one."""
+    global _POOL
+    if _POOL is not None:
+        _POOL[2].shutdown()
+    _POOL = None
+
+
+def _pool(workers: int, fields: set) -> ProcessPoolExecutor:
+    """The pool of `workers` workers, started afresh unless its workers
+    inherited every field in `fields`."""
+    global _POOL
+    if _POOL is None or _POOL[0] != workers or not fields <= _POOL[1]:
+        _shutdown_pool()
+        _POOL = (workers, frozenset(field._FIELD_CACHE), ProcessPoolExecutor(max_workers=workers))
+    return _POOL[2]
+
+
+def _pooled_rows(tasks: list[dict], workers: int) -> list[dict]:
+    """Rows in grid order. A pool broken by a dead worker, perhaps one that died
+    between calls, is dropped and the call runs once more on a fresh pool, so a
+    task that kills its worker runs twice before the error comes out. A pool
+    whose workers had to build a field is shut down at the end of the call."""
+    fields = {field.field_key(t["p"], t["n"], t["modulus"], t["seed"]) for t in tasks}
+    for attempt in (0, 1):
+        try:
+            rows = list(_pool(workers, fields).map(_survey_row, tasks, chunksize=1))
+        except BrokenProcessPool:
+            _shutdown_pool()
+            if attempt:
+                raise
+            continue
+        if not fields <= _POOL[1]:
+            _shutdown_pool()
+        return rows
+
+
 def theorem_survey(cfg: ExperimentConfig) -> SurveyReport:
     cfg.validate()
     tasks = _build_tasks(cfg)
     if cfg.workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(_survey_row, tasks, chunksize=1))
+        with _POOL_LOCK:
+            rows = _pooled_rows(tasks, cfg.workers)
     else:
         rows = [_survey_row(t) for t in tasks]
 
@@ -296,9 +370,19 @@ def write_report(report: SurveyReport, out: str | None) -> str:
     return text
 
 
+def print_error_rows(report: SurveyReport) -> None:
+    """One `error row <i>: <message>` line on stderr per error row, i its index
+    in grid order. Reports carry only the exception type, so their bytes do not
+    depend on the message."""
+    for i, row in enumerate(report.rows):
+        if "_error" in row:
+            print(f"error row {i}: {row['_error']}", file=sys.stderr)
+
+
 def run_config(path: str, out_override: str | None = None) -> int:
     """Execute a config file; exit code 0 iff every hard check passed."""
     cfg = ExperimentConfig.from_file(path)
     report = theorem_survey(cfg)
     write_report(report, out_override or cfg.out)
+    print_error_rows(report)
     return 0 if report.all_ok else 1

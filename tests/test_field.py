@@ -87,6 +87,22 @@ class TestArith:
         with pytest.raises(ZeroDivisionError):
             f25.div(f25.one(), f25.zero())
 
+    @pytest.mark.parametrize("p, n", [(7, 3), (31, 2), (31, 3)])
+    def test_table_inverse_matches_fermat_everywhere(self, p, n):
+        ctx = cached_field(p, n, seed=0)
+        for idx in range(1, ctx.q):
+            a = ctx.decode(idx)
+            assert ctx.inv(a) == ctx.pow(a, ctx.q - 2)
+
+    @pytest.mark.parametrize("p, n", [(101, 3), (127, 3), (4093, 2)])
+    def test_table_inverse_matches_fermat_sampled(self, p, n):
+        ctx = build_field(p, n)  # uncached, so the tables go with the test
+        for idx in np.random.default_rng(p).integers(1, ctx.q, size=3000):
+            a = ctx.decode(int(idx))
+            assert ctx.inv(a) == ctx.pow(a, ctx.q - 2)
+        with pytest.raises(ZeroDivisionError):
+            ctx.inv(ctx.zero())
+
     def test_fermat(self, f31_3):
         rng = np.random.default_rng(2)
         for _ in range(50):
