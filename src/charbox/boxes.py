@@ -2,11 +2,13 @@
 
 A box is a basis plus integer offsets N_i and edges H_i; its elements are
 sum_i x_i omega_i with N_i + 1 <= x_i <= N_i + H_i. Offsets are arbitrary
-integers; reduction mod p happens at element construction.
+integers; reduction mod p happens at element construction. An edge is
+small when H < sqrt(p/2), tested exactly as H <= small_edge_cap(p).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -16,8 +18,16 @@ import numpy as np
 from .field import BasisMatrix, FieldCtx, FqElem
 
 
+_SCAN_BUDGET = 2**22  # most outer pairs (x_1, x_2) that degenerate_pair_set scans
+
+
 class BoxError(ValueError):
     pass
+
+
+def small_edge_cap(p: int) -> int:
+    """Largest integer edge strictly below sqrt(p/2) (c^2 < p/2 iff c^2 <= (p-1)//2)."""
+    return max(1, math.isqrt((p - 1) // 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,10 +56,6 @@ class Box:
 
     def ranges(self) -> list[range]:
         return [range(nn + 1, nn + hh + 1) for nn, hh in zip(self.N, self.H)]
-
-    @property
-    def is_sorted(self) -> bool:
-        return all(a <= b for a, b in zip(self.H, self.H[1:]))
 
     def normalize(self) -> "Box":
         """Permute coordinates (basis columns with N, H) so H is ascending."""
@@ -131,27 +137,19 @@ def omega_line_intersection(box: Box) -> int:
 
 def subdivide_box(box: Box) -> list[Box]:
     """Split every edge >= sqrt(p/2) into near-equal integer pieces below
-    sqrt(p/2); pieces of one edge differ in length by at most 1."""
+    sqrt(p/2); pieces of one edge differ in length by at most 1. At p <= 7
+    the cap is 1 and every piece is a single coordinate."""
+    cap = small_edge_cap(box.ctx.p)
     threshold = math.sqrt(box.ctx.p / 2)
     per_axis: list[list[tuple[int, int]]] = []
     for nn, hh in zip(box.N, box.H):
-        if hh < threshold:
+        if hh <= cap:
             per_axis.append([(nn, hh)])
             continue
-        k = math.ceil(hh / (threshold - 1)) if threshold > 1 else hh
-        base, rem = divmod(hh, k)
-        pieces = []
-        off = nn
-        for j in range(k):
-            ln = base + (1 if j < rem else 0)
-            pieces.append((off, ln))
-            off += ln
-        per_axis.append(pieces)
-    out = []
-    for combo_idx in np.ndindex(*[len(a) for a in per_axis]):
-        combo = [per_axis[i][j] for i, j in enumerate(combo_idx)]
-        out.append(Box(box.basis, tuple(c[0] for c in combo), tuple(c[1] for c in combo)))
-    return out
+        k = min(math.ceil(hh / (threshold - 1)) if threshold > 1 else hh, hh)
+        base, rem = divmod(hh, k)  # the first rem pieces get base + 1
+        per_axis.append([(nn + j * base + min(j, rem), base + (j < rem)) for j in range(k)])
+    return [Box(box.basis, *zip(*combo)) for combo in itertools.product(*per_axis)]
 
 
 def degenerate_pair_closed_form(box: Box) -> set[tuple[int, int]]:
@@ -161,13 +159,13 @@ def degenerate_pair_closed_form(box: Box) -> set[tuple[int, int]]:
     return set() if None in hits else {(hits[0], hits[1])}
 
 
-def degenerate_pair_set(box: Box, scan_budget: int = 2**22) -> set[tuple[int, int]]:
+def degenerate_pair_set(box: Box) -> set[tuple[int, int]]:
     """A = {(x_1, x_2): x_1 omega_1/omega_3 + x_2 omega_2/omega_3 lies in F_p},
     computed by direct scan over I_1 x I_2."""
     ctx = box.ctx
     if ctx.n != 3:
         raise BoxError("degenerate pair set is defined for n = 3 boxes")
-    if box.H[0] * box.H[1] > scan_budget:
+    if box.H[0] * box.H[1] > _SCAN_BUDGET:
         raise BoxError("outer grid exceeds scan budget")
     w3_inv = ctx.inv(box.basis.omega(3))
     c1 = np.array(ctx.mul(box.basis.omega(1), w3_inv), dtype=np.int64)

@@ -1,9 +1,10 @@
 """Multiplicative characters of F_{p^n} and the character sums under study.
 
 chi_k sends g^m to exp(2 pi i k m / (q-1)) and 0 to 0, evaluated only where
-asked: no q-sized value table exists. Box sums enumerate in lexicographic
-coordinate order and accumulate with exact_sum, which returns the correctly
-rounded sum (the math.fsum value), so summation is deterministic.
+asked (no q-sized value table) and always by the one kernel `_of_dlogs`. Box
+sums enumerate in lexicographic coordinate order and accumulate with
+exact_sum, which returns the correctly rounded sum (the math.fsum value), so
+summation is deterministic.
 """
 
 from __future__ import annotations
@@ -42,10 +43,7 @@ class Character:
         return self.k % (self.ctx.p - 1) == 0
 
     def value(self, a: FqElem) -> complex:
-        if not any(a):
-            return 0j
-        m = self.ctx.dlog_of(a)
-        return _unit(self.k * m % self.ctx.q1, self.ctx.q1)
+        return complex(self.values_at(np.array([self.ctx.encode(a)]))[0])
 
     def values_at(self, idx: np.ndarray) -> np.ndarray:
         """chi at encoded elements; chi(0) = 0."""
@@ -57,10 +55,6 @@ class Character:
         vals = np.exp((2j * np.pi / self.ctx.q1) * (self.k * dlogs % self.ctx.q1))
         vals[zero] = 0
         return vals
-
-
-def _unit(num: int, den: int) -> complex:
-    return complex(math.cos(2 * math.pi * num / den), math.sin(2 * math.pi * num / den))
 
 
 def exact_sum(vals) -> float:

@@ -3,19 +3,18 @@
 Counts are exact integers throughout. Kernels run on dlog arrays: products
 become dlog sums and ratios become dlog differences, so histograms over
 pairs reduce to vectorized bincounts. Inequality checks compare integers
-(squared where a bound has a square root); the only float is the H_i <
-sqrt(p/2) hypothesis flag.
+(squared where a bound has a square root), and the H_i < sqrt(p/2)
+hypothesis flag is the integer test H_i <= small_edge_cap(p).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
-from .boxes import Box, difference_box
+from .boxes import Box, difference_box, small_edge_cap
 from .field import FieldCtx, FqElem
 
 PAIR_BUDGET = 2**28
@@ -136,8 +135,10 @@ def ratio_set(ctx: FieldCtx, elements: Iterable[FqElem] | Box | np.ndarray) -> s
 class RatioProfile:
     """The S = S1 + S2 decomposition data for a box and its difference box.
 
-    f0 values are 1 + (ratio histogram) on F_q^*; f values likewise from the
-    box itself. All sums and inequality checks are exact integers.
+    f0 values are 1 + (ratio histogram of B0) on F_q^*; f values likewise
+    from the box itself. All sums and inequality checks are exact integers.
+    f_table keeps f_0 on F_p^*; Z and f_0 at any z are `ratio_set(ctx, B0)`
+    and `f_count(ctx, B0, z)`.
     """
 
     box: Box
@@ -151,17 +152,6 @@ class RatioProfile:
     f_table: dict[int, int]  # z in F_p^* (as int) -> f_0(z)
     hypothesis_ok: bool  # all H_i < sqrt(p/2)
     checks: dict[str, bool]
-    _h0: np.ndarray = field(repr=False, default=None)
-
-    @property
-    def Z(self) -> set[FqElem]:
-        ctx = self.box.ctx
-        return {ctx.decode(int(ctx.exp[d])) for d in np.nonzero(self._h0)[0]}
-
-    def f0_of(self, z: FqElem) -> int:
-        if not any(z):
-            raise ValueError("f_0 is defined on F_q^*")
-        return 1 + int(self._h0[self.box.ctx.dlog_of(z)])
 
 
 def one_dim_f_counts(p: int, h: int, z_values: np.ndarray) -> np.ndarray:
@@ -172,35 +162,41 @@ def one_dim_f_counts(p: int, h: int, z_values: np.ndarray) -> np.ndarray:
     return hits.sum(axis=1)
 
 
-def s_decomposition(box: Box, pair_budget: int = PAIR_BUDGET) -> RatioProfile:
+def _difference_ratio_histogram(ctx: FieldCtx, idx_b0: np.ndarray) -> np.ndarray:
+    """Ratio histogram h_0 mod q - 1 of the difference box B0 (encoded
+    elements idx_b0). B0 = -B0 and dlog(-1) = (q-1)/2, so h_0 is twice the
+    histogram of the sign class {dlog < (q-1)/2} mod (q-1)/2, tiled twice."""
+    d_b0 = ctx.dlog[idx_b0[idx_b0 != 0]]
+    half = d_b0[d_b0 < ctx.q1 // 2]  # one of each pair {x, -x}: a quarter of the pairs
+    h_0 = np.tile(_pair_bincount(half, half, -1, ctx.q1 // 2), 2)
+    h_0 *= 2
+    return h_0
+
+
+def s_decomposition(box: Box) -> RatioProfile:
     """Compute Z, f_0, S, S1, S2 for the difference box of B, check the
     energy chain and the prime-subfield factorization of f_0.
 
-    B0 = -B0 and dlog(-1) = (q-1)/2, so the ratio histogram h_0 of B0 has
-    period (q-1)/2: it is twice the histogram of the sign class {dlog <
-    (q-1)/2} mod (q-1)/2, tiled twice (a quarter of the pairs). The sums
-    run over h_0 in closed form, S2 over the p - 1 prime-subfield bins and
-    the f, f_0 comparison over the nonzero bins of h_B; all exact int64.
+    The sums run over h_0 (`_difference_ratio_histogram`) in closed form,
+    S2 over the p - 1 prime-subfield bins and the f, f_0 comparison over
+    the nonzero bins of h_B; all exact int64.
     """
     ctx = box.ctx
     p, q1 = ctx.p, ctx.q1
-    hypothesis_ok = all(h < math.sqrt(p / 2) for h in box.H)
+    hypothesis_ok = all(h <= small_edge_cap(p) for h in box.H)
     b0 = difference_box(box)
 
     idx_b = np.unique(box.element_indices())
     idx_b0 = np.unique(b0.element_indices())
-    if len(idx_b0) ** 2 > pair_budget:
+    if len(idx_b0) ** 2 > PAIR_BUDGET:
         raise EnergyBudgetError("difference box pair count exceeds budget")
     zero_in_b = bool((idx_b == 0).any())
 
     d_b = ctx.dlog[idx_b[idx_b != 0]]
-    d_b0 = ctx.dlog[idx_b0[idx_b0 != 0]]
     h_b = _pair_bincount(d_b, d_b, -1, q1)  # ratio histogram y/x over B
-    half = d_b0[d_b0 < q1 // 2]  # one of each pair {x, -x}
-    h_0 = np.tile(_pair_bincount(half, half, -1, q1 // 2), 2)
-    h_0 *= 2
+    h_0 = _difference_ratio_histogram(ctx, idx_b0)
 
-    e_b = energy(ctx, idx_b, pair_budget=pair_budget).E
+    e_b = energy(ctx, idx_b).E
     size = len(idx_b)
 
     # S = sum over Z of (1 + h_0)^2, with h_0 = 0 off Z
@@ -235,7 +231,7 @@ def s_decomposition(box: Box, pair_budget: int = PAIR_BUDGET) -> RatioProfile:
     f_table = {int(z): int(v) for z, v in zip(z_ints, f0_prime)}
     return RatioProfile(
         box, e_b, s_total, s1, s2, sum_f_sq, z_count, len(in_zprime),
-        f_table, hypothesis_ok, checks, h_0,
+        f_table, hypothesis_ok, checks,
     )
 
 
@@ -260,14 +256,14 @@ class TauProfile:
         return int(self._cross[ctx.dlog_of(u)])
 
 
-def tau_profile(box: Box, box0: Box, pair_budget: int = PAIR_BUDGET) -> TauProfile:
+def tau_profile(box: Box, box0: Box) -> TauProfile:
     """Cross-ratio statistics between B and B0 plus the exact checks:
     sum tau = |B| (|B0| - 1), tau(0) <= |B0|, and the Cauchy-Schwarz bound
     (sum_{u != 0} tau^2)^2 <= E(B) E(B0) compared in integers."""
     ctx = box.ctx
     idx_b = np.unique(box.element_indices())
     idx_b0 = np.unique(box0.element_indices())
-    if len(idx_b) * len(idx_b0) > pair_budget:
+    if len(idx_b) * len(idx_b0) > PAIR_BUDGET:
         raise EnergyBudgetError("cross pair count exceeds budget")
     zero_in_b = bool((idx_b == 0).any())
     nz_b = idx_b[idx_b != 0]
@@ -279,8 +275,8 @@ def tau_profile(box: Box, box0: Box, pair_budget: int = PAIR_BUDGET) -> TauProfi
     sum_tau_sq_nonzero = int(cross @ cross)
     sum_tau_sq = sum_tau_sq_nonzero + tau_zero * tau_zero
 
-    e_b = energy(ctx, idx_b, pair_budget=pair_budget).E
-    e_b0 = energy(ctx, idx_b0, pair_budget=pair_budget).E
+    e_b = energy(ctx, idx_b).E
+    e_b0 = energy(ctx, idx_b0).E
     checks = {
         "total_pairs": sum_tau == len(idx_b) * (len(idx_b0) - 1),
         "tau_zero_bound": tau_zero <= len(idx_b0),

@@ -3,8 +3,9 @@
 Elements are coefficient tuples in the power basis of a monic irreducible
 modulus polynomial. Every field carries dense discrete-log and power tables
 built by one multiplicative sweep; characters read dlogs from them and
-evaluate chi only where asked. Fields are immutable after construction and
-safe to share between workers.
+evaluate chi only where asked. A basis matrix is inverted over F_p as its
+integer adjugate times det^-1 mod p (`charbox.intlinalg`). Fields are
+immutable after construction and safe to share between workers.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .intlinalg import _int_adjugate
 
 DEFAULT_TABLE_BUDGET = 2**24
 
@@ -166,9 +169,6 @@ class FieldCtx:
     def sub(self, a: FqElem, b: FqElem) -> FqElem:
         return tuple((x - y) % self.p for x, y in zip(a, b))
 
-    def neg(self, a: FqElem) -> FqElem:
-        return tuple(-x % self.p for x in a)
-
     def mul(self, a: FqElem, b: FqElem) -> FqElem:
         prod = _pmod(_pmul(a, b, self.p), self.modulus, self.p)
         return tuple(prod) + (0,) * (self.n - len(prod))
@@ -318,29 +318,6 @@ def cached_field(p: int, n: int, modulus: Sequence[int] | None = None, seed: int
 # bases
 
 
-def _inv_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of a square matrix over F_p by Gaussian elimination."""
-    n = mat.shape[0]
-    a = mat.astype(np.int64) % p
-    inv = np.eye(n, dtype=np.int64)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r, col] % p), None)
-        if piv is None:
-            raise FieldError("singular matrix mod p")
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            inv[[col, piv]] = inv[[piv, col]]
-        s = pow(int(a[col, col]), p - 2, p)
-        a[col] = a[col] * s % p
-        inv[col] = inv[col] * s % p
-        for r in range(n):
-            if r != col and a[r, col]:
-                f = int(a[r, col])
-                a[r] = (a[r] - f * a[col]) % p
-                inv[r] = (inv[r] - f * inv[col]) % p
-    return inv % p
-
-
 @dataclass(frozen=True, eq=False)
 class BasisMatrix:
     """Basis {omega_1..omega_n}; column i holds power-basis coordinates of omega_i."""
@@ -352,8 +329,12 @@ class BasisMatrix:
         cols = np.asarray(self.cols, dtype=np.int64) % self.ctx.p
         if cols.shape != (self.ctx.n, self.ctx.n):
             raise FieldError(f"basis must be {self.ctx.n}x{self.ctx.n}")
+        p = self.ctx.p
+        det, adj = _int_adjugate(cols.tolist())  # inverse = adj / det
+        if det % p == 0:
+            raise FieldError("singular matrix mod p")
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "inv_cols", _inv_mod_p(cols, self.ctx.p))
+        object.__setattr__(self, "inv_cols", np.array(adj, dtype=np.int64) * pow(det, -1, p) % p)
         cols.setflags(write=False)
 
     @classmethod

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import Box, scaled_box
+from .boxes import Box, scaled_box, small_edge_cap
 from .characters import Character, box_char_sum, exact_sum, _fsum_complex
 from .energy import tau_profile
 
@@ -168,15 +168,14 @@ class BurgessTrace:
         return all(self.checks.values())
 
 
-def burgess_trace(box: Box, chi: Character, eps: float,
-                  moment_budget: int = MOMENT_BUDGET) -> BurgessTrace:
+def burgess_trace(box: Box, chi: Character, eps: float) -> BurgessTrace:
     """Run the full shift-and-average amplification on one box and character,
     checking every explicit inequality along the way."""
     ctx = box.ctx
     p = ctx.p
     if chi.is_trivial:
         raise RegimeError("chi must be nontrivial")
-    if any(h >= math.sqrt(p / 2) for h in box.H):
+    if any(h > small_edge_cap(p) for h in box.H):
         raise RegimeError("trace requires all edges below sqrt(p/2)")
     params = choose_parameters(eps, p)
     if params.r > R_CAP:
@@ -211,7 +210,7 @@ def burgess_trace(box: Box, chi: Character, eps: float,
     identity_err = abs(true_sum - averaged)
 
     tau = tau_profile(box, b0)
-    moment = moment_sum(chi, interval, r, budget=moment_budget)
+    moment = moment_sum(chi, interval, r)
 
     a1, a2, a3 = tau.sum_tau, tau.sum_tau_sq, moment.value
     holder_rhs = a1 ** (1 - 1 / r) * a2 ** (1 / (2 * r)) * a3 ** (1 / (2 * r)) + b_size * len(interval)

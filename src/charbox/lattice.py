@@ -10,7 +10,8 @@ Enumeration pipeline, integer arithmetic throughout: a fraction-free integral
 LLL on the integer-rescaled basis seeds the shell size, then a blocked numpy
 walk of the enumeration tree over a column-permuted Hermite triangular basis
 lists every lattice vector of the current shell; shells double until 2n
-independent vectors exist. Polar lattices come from the integer adjugate.
+independent vectors exist. Polar lattices come from the integer adjugate
+(`charbox.intlinalg`, like the Hermite form and the independence test).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 
 from .boxes import Box
 from .field import BasisMatrix, FieldCtx, FqElem
+from .intlinalg import _hnf_upper, _independent_add, _int_adjugate
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -33,48 +35,6 @@ class EnumerationBudgetError(RuntimeError):
     def __init__(self, msg: str, partial=None):
         super().__init__(msg)
         self.partial = partial
-
-
-# ---------------------------------------------------------------------------
-# exact linear algebra helpers
-
-
-def _int_adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] | None]:
-    """(det, adj) with adj @ rows = det * I, by fraction-free Gauss-Jordan
-    elimination (Bareiss) of [rows | I]; adj is None when det = 0."""
-    m = len(rows)
-    a = [[int(v) for v in r] + [int(i == j) for j in range(m)] for i, r in enumerate(rows)]
-    sign = 1
-    prev = 1
-    for k in range(m):
-        piv = next((r for r in range(k, m) if a[r][k] != 0), None)
-        if piv is None:
-            return 0, None
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        ak = a[k]
-        for i in range(m):
-            if i != k:
-                ai = a[i]
-                a[i] = [(ak[k] * x - ai[k] * y) // prev for x, y in zip(ai, ak)]
-        prev = ak[k]
-    # the left block is now prev * I with prev = det of the row-swapped matrix
-    return sign * prev, [[sign * v for v in r[m:]] for r in a]
-
-
-def _independent_add(echelon: list[list[int]], vec: Sequence[int]) -> bool:
-    """Fraction-free elimination; if vec is independent, add it and return True."""
-    v = list(map(int, vec))
-    for row in echelon:
-        c = next(i for i, x in enumerate(row) if x != 0)
-        if v[c] != 0:
-            v = [x * row[c] - y * v[c] for x, y in zip(v, row)]
-    if not any(v):
-        return False
-    g = math.gcd(*[abs(x) for x in v])
-    echelon.append([x // g for x in v])
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -110,10 +70,6 @@ class IntLattice:
     @property
     def covolume(self) -> Fraction:
         return Fraction(abs(self.det), self.denom**self.dim)
-
-    @classmethod
-    def integer_grid(cls, dim: int) -> "IntLattice":
-        return cls(tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim)))
 
     def coefficients_of(self, vec: Sequence[Fraction | int]) -> list[Fraction]:
         det, adj = self._adjugate
@@ -273,33 +229,6 @@ def _lll_rows(rows: Sequence[Sequence[int]], scale: Sequence[int]) -> list[list[
 
 # ---------------------------------------------------------------------------
 # Hermite-triangular enumeration
-
-
-def _hnf_upper(rows: Sequence[Sequence[int]]) -> list[list[int]] | None:
-    """Row-span-preserving upper-triangular form with positive diagonal and
-    entries above each pivot reduced into [0, pivot)."""
-    h = [list(map(int, r)) for r in rows]
-    m = len(h)
-    for col in range(m):
-        while True:
-            nz = [r for r in range(col, m) if h[r][col] != 0]
-            if not nz:
-                return None
-            if len(nz) == 1:
-                break
-            nz.sort(key=lambda r: abs(h[r][col]))
-            r0, r1 = nz[0], nz[1]
-            q = h[r1][col] // h[r0][col]
-            h[r1] = [a - q * b for a, b in zip(h[r1], h[r0])]
-        r = nz[0]
-        if h[r][col] < 0:
-            h[r] = [-a for a in h[r]]
-        h[col], h[r] = h[r], h[col]
-        for rr in range(col):
-            q = h[rr][col] // h[col][col]
-            if q:
-                h[rr] = [a - q * b for a, b in zip(h[rr], h[col])]
-    return h
 
 
 _BLOCK = 1 << 14  # rows per child slice in _enumerate_shell

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .boxes import Box
+from .boxes import Box, small_edge_cap
 from .characters import Character
 from .field import BasisMatrix, FieldCtx, FieldError
 
@@ -21,11 +21,6 @@ _BOX_REGIMES = ("any", "small", "tall", "admissible")
 
 def rng_for(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=[seed, *key]))
-
-
-def small_edge_cap(p: int) -> int:
-    """Largest integer edge strictly below sqrt(p/2) (c^2 < p/2 iff c^2 <= (p-1)//2)."""
-    return max(1, math.isqrt((p - 1) // 2))
 
 
 def sample_basis(ctx: FieldCtx, rng: np.random.Generator) -> BasisMatrix:

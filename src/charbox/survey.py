@@ -27,7 +27,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
 import sys
 import threading
@@ -43,6 +42,7 @@ from .boxes import (
     degenerate_pair_set,
     format_box_spec,
     parse_box_spec,
+    small_edge_cap,
     subdivide_box,
     omega_line_intersection,
 )
@@ -121,7 +121,7 @@ class ExperimentConfig:
 def _route_for(box: Box, eps: float) -> str:
     p = box.ctx.p
     h_sorted = sorted(box.H)
-    if h_sorted[-1] < math.sqrt(p / 2):
+    if h_sorted[-1] <= small_edge_cap(p):
         return "direct"
     if h_sorted[-1] <= p ** (0.5 + eps / 2):
         return "subdivided"
@@ -182,8 +182,7 @@ def _survey_row_inner(task: dict) -> dict:
         piece_total = sum(box_char_sum(chi, piece) for piece in pieces)
         checks["partition_sizes"] = sum(piece.size for piece in pieces) == box.size
         checks["partition_sum"] = abs(piece_total - total) <= 1e-6
-        threshold = math.sqrt(p / 2)
-        checks["piece_edges"] = all(max(piece.H) < threshold for piece in pieces)
+        checks["piece_edges"] = all(max(piece.H) <= small_edge_cap(p) for piece in pieces)
     elif route == "tall":
         split = tall_box_identity(chi, box)
         checks["tall_identity"] = abs(split.lhs - split.rhs) <= 1e-6

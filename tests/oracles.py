@@ -15,6 +15,7 @@ import numpy as np
 
 from charbox.boxes import difference_box
 from charbox.characters import exact_sum
+from charbox.field import FieldError
 from charbox.sampling import rng_for, sample_basis
 
 energy_mod = importlib.import_module("charbox.energy")  # the package re-exports a function `energy`
@@ -109,8 +110,8 @@ def moment_sum_gather(chi, interval, r):
 
 
 def s_decomposition_dense(box):
-    """`energy.s_decomposition` with h_0 binned over all of B0's pairs mod
-    q - 1 and every sum taken over (q-1)-sized masks."""
+    """(profile, h_0): `energy.s_decomposition` with h_0 binned over all of
+    B0's pairs mod q - 1 and every sum taken over (q-1)-sized masks."""
     ctx = box.ctx
     p = ctx.p
     hypothesis_ok = all(h < math.sqrt(p / 2) for h in box.H)
@@ -152,10 +153,11 @@ def s_decomposition_dense(box):
         "f0_at_least_one": bool((f0_vals >= 1).all()),
     }
     f_table = {int(z): int(v) for z, v in zip(z_ints, f0_prime)}
-    return energy_mod.RatioProfile(
+    profile = energy_mod.RatioProfile(
         box, e_b, s_total, s1, s2, sum_f_sq, int(in_z.sum()), int(in_zprime.sum()),
-        f_table, hypothesis_ok, checks, h_0,
+        f_table, hypothesis_ok, checks,
     )
+    return profile, h_0
 
 
 def min_poly_degree(ctx, a) -> int:
@@ -169,6 +171,30 @@ def min_poly_degree(ctx, a) -> int:
         if rank_mod_p(mat, ctx.p) < len(rows):
             return k  # 1, a, ..., a^k dependent: degree k
     return ctx.n
+
+
+def inv_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
+    """Inverse of a square matrix over F_p by Gauss-Jordan elimination;
+    FieldError when it is singular mod p."""
+    n = mat.shape[0]
+    a = mat.astype(np.int64) % p
+    inv = np.eye(n, dtype=np.int64)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r, col] % p), None)
+        if piv is None:
+            raise FieldError("singular matrix mod p")
+        if piv != col:
+            a[[col, piv]] = a[[piv, col]]
+            inv[[col, piv]] = inv[[piv, col]]
+        s = pow(int(a[col, col]), p - 2, p)
+        a[col] = a[col] * s % p
+        inv[col] = inv[col] * s % p
+        for r in range(n):
+            if r != col and a[r, col]:
+                f = int(a[r, col])
+                a[r] = (a[r] - f * a[col]) % p
+                inv[r] = (inv[r] - f * inv[col]) % p
+    return inv % p
 
 
 def rank_mod_p(mat: np.ndarray, p: int) -> int:

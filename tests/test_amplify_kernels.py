@@ -23,12 +23,28 @@ harness = importlib.import_module("charbox.harness")
 FIELDS = [(31, 2), (61, 2), (101, 2), (31, 3), (61, 3), (101, 3)]
 
 
-def profile_fields(prof) -> tuple:
+def profile_fields(prof, h_0) -> tuple:
     return (
         prof.E, prof.S, prof.S1, prof.S2, prof.sum_f_sq_over_zprime, prof.z_count,
         prof.zprime_count, prof.f_table, prof.hypothesis_ok, prof.checks,
-        prof._h0.dtype, prof._h0.tobytes(),
+        h_0.dtype, h_0.tobytes(),
     )
+
+
+def s_decomposition_with_h0(box):
+    """`energy.s_decomposition` and the h_0 it built, read from the private
+    builder it calls."""
+    built = []
+    real = energy_mod._difference_ratio_histogram
+
+    def capture(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    with mock.patch.object(energy_mod, "_difference_ratio_histogram", capture):
+        prof = energy_mod.s_decomposition(box)
+    assert len(built) == 1
+    return prof, built[0]
 
 
 def moment_bits(res) -> tuple:
@@ -51,9 +67,9 @@ def test_s_decomposition_matches_dense(field, identity, seed, chunk):
     cap = small_edge_cap(p) if n == 2 else 4  # B0 at most 9^3 elements at n = 3
     box = Box(basis, tuple(int(v) for v in rng.integers(-p, p, size=n)),
               tuple(int(v) for v in rng.integers(1, cap + 1, size=n)))
-    want = profile_fields(s_decomposition_dense(box))
+    want = profile_fields(*s_decomposition_dense(box))
     with mock.patch.object(energy_mod, "_CHUNK", chunk or energy_mod._CHUNK):
-        got = profile_fields(energy_mod.s_decomposition(box))
+        got = profile_fields(*s_decomposition_with_h0(box))
     assert got == want
 
 
@@ -61,7 +77,7 @@ def test_s_decomposition_full_edges_match_dense():
     # every edge at the sqrt(p/2) cap, B0 of 15^3 = 3375 elements over several sweep chunks
     ctx = cached_field(101, 3, seed=0)
     box = Box(sample_basis(ctx, rng_for(4, 101)), (3, -2, 10), (7, 7, 7))
-    assert profile_fields(energy_mod.s_decomposition(box)) == profile_fields(s_decomposition_dense(box))
+    assert profile_fields(*s_decomposition_with_h0(box)) == profile_fields(*s_decomposition_dense(box))
 
 
 @settings(max_examples=40, deadline=None)

@@ -18,7 +18,7 @@ from charbox import (
     scaled_box,
     subdivide_box,
 )
-from charbox.sampling import rng_for, sample_basis
+from charbox.sampling import rng_for, sample_basis, small_edge_cap
 from oracles import omega_line_count_bruteforce, seeded_basis
 
 
@@ -65,7 +65,7 @@ class TestNormalize:
         box = Box(id_basis_31_3, (1, 2, 3), (5, 2, 4))
         nb = box.normalize()
         assert nb.H == (2, 4, 5) and nb.N == (2, 3, 1)
-        assert nb.is_sorted
+        assert list(nb.H) == sorted(nb.H)
 
     def test_preserves_element_set(self, f31_3):
         rng = rng_for(1, 200)
@@ -99,7 +99,7 @@ class TestDifferenceBox:
         b0 = difference_box(Box(id_basis_31_2, (0, 0), (2, 3)))
         idx0 = set(b0.element_indices().tolist())
         for i in list(idx0):
-            assert f31_2.encode(f31_2.neg(f31_2.decode(i))) in idx0
+            assert f31_2.encode(tuple(-x % 31 for x in f31_2.decode(i))) in idx0
 
     def test_too_wide_rejected(self, f31_2, id_basis_31_2):
         with pytest.raises(BoxError):
@@ -198,6 +198,40 @@ class TestSubdivision:
             assert sum(piece.size for piece in pieces) == box.size
             merged = np.concatenate([piece.element_indices() for piece in pieces])
             assert sorted(merged.tolist()) == sorted(box.element_indices().tolist())
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_tiny_primes_partition_below_cap(self, p):
+        # at p <= 7 the near-equal piece count exceeds the edge; it is capped
+        cap = small_edge_cap(p)
+        basis = BasisMatrix.identity(cached_field(p, 2, seed=0))
+        for h0 in range(1, p + 1):
+            for h1 in range(cap + 1, p + 1):
+                box = Box(basis, (-2, p - 1), (h1, h0))
+                pieces = subdivide_box(box)
+                assert all(max(piece.H) <= cap for piece in pieces)
+                assert sum(piece.size for piece in pieces) == box.size
+                merged = np.concatenate([piece.coords_grid() for piece in pieces])
+                assert sorted(map(tuple, merged.tolist())) == sorted(map(tuple, box.coords_grid().tolist()))
+                lengths = {piece.H[0] for piece in pieces}
+                assert max(lengths) - min(lengths) <= 1
+
+
+def test_small_edge_cap_matches_float_form_for_odd_primes_to_2_24():
+    # h <= small_edge_cap(p) iff h < sqrt(p/2) for integers h >= 1
+    limit = 2**24
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, math.isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = False
+    primes = np.flatnonzero(sieve)[1:].tolist()
+    assert len(primes) == 1_077_870
+    bad = []
+    for p in primes:
+        cap, root = small_edge_cap(p), math.sqrt(p / 2)
+        if not cap < root <= cap + 1:
+            bad.append(p)
+    assert bad == []
 
 
 class TestDegeneratePairs:

@@ -48,6 +48,14 @@ class TestEvaluation:
             a = f31_2.decode(int(rng.integers(1, f31_2.q)))
             assert abs(abs(chi.value(a)) - 1) < 1e-15
 
+    def test_value_is_values_at_bit_for_bit(self, f31_2):
+        ctx = f31_2
+        every = np.arange(ctx.q, dtype=np.int64)
+        for k in (1, 7, 11, 100, 959):
+            chi = Character(ctx, k)
+            single = np.array([chi.value(ctx.decode(i)) for i in range(ctx.q)])
+            assert single.tobytes() == chi.values_at(every).tobytes()
+
     def test_orthogonality(self, f31_2):
         full = np.arange(f31_2.q, dtype=np.int64)
         for k in (3, 17, 100):

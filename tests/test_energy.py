@@ -230,15 +230,31 @@ class TestSDecomposition:
                 assert prof.checks[name], name
 
     def test_f0_equals_one_off_z(self, f31_2, id_basis_31_2):
-        box = Box(id_basis_31_2, (4, 4), (2, 2))
-        prof = s_decomposition(box)
-        z_set = prof.Z
+        # Z and f_0 on F_q^* are ratio_set and f_count of the difference box
         ctx = f31_2
+        b0 = difference_box(Box(id_basis_31_2, (4, 4), (2, 2)))
+        z_set = ratio_set(ctx, b0)
         rng = rng_for(0, 18)
         for _ in range(30):
             z = ctx.decode(int(rng.integers(1, ctx.q)))
             if z not in z_set:
-                assert prof.f0_of(z) == 1
+                assert f_count(ctx, b0, z) == 1
+
+    @pytest.mark.parametrize("p, n", [(31, 2), (61, 2), (31, 3)])
+    def test_ratio_set_and_f_count_read_h0(self, p, n):
+        # the s_decomposition histogram h_0: Z = {h_0 > 0}, f_0(z) = 1 + h_0[dlog z]
+        ctx = cached_field(p, n, seed=0)
+        rng = rng_for(2, 18, p, n)
+        for _ in range(4):
+            box = sample_box(sample_basis(ctx, rng), rng, regime="small")
+            b0 = difference_box(box)
+            h_0 = energy_mod._difference_ratio_histogram(ctx, np.unique(b0.element_indices()))
+            in_z = np.flatnonzero(h_0)
+            assert ratio_set(ctx, b0) == {ctx.decode(int(ctx.exp[d])) for d in in_z}
+            sampled = rng.integers(0, ctx.q1, size=40)
+            for d in np.concatenate([in_z[:40], sampled]):
+                z = ctx.decode(int(ctx.exp[d]))
+                assert f_count(ctx, b0, z) == 1 + h_0[d]
 
     def test_hypothesis_flag(self, f31_2, id_basis_31_2):
         box = Box(id_basis_31_2, (0, 0), (9, 2))  # 9 >= sqrt(15.5)

@@ -4,13 +4,14 @@ from hypothesis import given, settings, strategies as st
 
 from charbox import (
     BasisMatrix,
+    FieldCtx,
     FieldError,
     build_field,
     cached_field,
     is_generating,
     is_irreducible,
 )
-from oracles import min_poly_degree, seeded_basis
+from oracles import inv_mod_p, min_poly_degree, seeded_basis
 
 
 class TestBuildField:
@@ -190,6 +191,34 @@ class TestBasis:
     def test_singular_basis_rejected(self, f25):
         with pytest.raises(FieldError, match="singular"):
             BasisMatrix(f25, np.array([[1, 2], [2, 4]]))
+
+    @pytest.mark.parametrize("p", [3, 7, 31, 101, 4093])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_inverse_matches_gauss_jordan(self, p, n):
+        # BasisMatrix reads only p and n of its field, so a table-free FieldCtx
+        # stands in where p^n is past the table budget
+        ctx = FieldCtx(p, n, (0,) * n + (1,))
+        rng = np.random.default_rng([p, n, 41])
+        mats = list(rng.integers(-2 * p, 2 * p, size=(1000, n, n)))
+        mats += list(rng.integers(0, 3, size=(1000, n, n)))  # often singular over Z
+        dependent = rng.integers(0, p, size=(1000, n, n))  # singular mod p, det mostly nonzero
+        if n == 1:
+            dependent[:, 0, 0] = p * rng.integers(-3, 4, size=1000)
+        else:
+            dependent[:, :, -1] = dependent[:, :, 0] * rng.integers(0, p, size=(1000, 1)) + p
+        mats += list(dependent)
+        singular = 0
+        for mat in mats:
+            try:
+                want = inv_mod_p(mat, p)
+            except FieldError:
+                singular += 1
+                with pytest.raises(FieldError, match="singular"):
+                    BasisMatrix(ctx, mat)
+                continue
+            got = BasisMatrix(ctx, mat).inv_cols
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert 1000 <= singular < len(mats)
 
 
 class TestGenerating:

@@ -26,6 +26,10 @@ from charbox.lattice import _dyadic_index
 from charbox.sampling import small_edge_cap, rng_for, sample_basis, sample_z
 
 
+def unit_grid(dim):
+    return IntLattice(tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim)))
+
+
 def random_key_box(ctx, rng):
     basis = sample_basis(ctx, rng)
     cap = small_edge_cap(ctx.p)
@@ -100,7 +104,7 @@ class TestGammaZ:
 class TestSuccessiveMinima:
     def test_unit_grid_unit_cube(self):
         for n in (1, 2, 3):
-            res = successive_minima(IntLattice.integer_grid(2 * n), sup_box_body((1,) * n))
+            res = successive_minima(unit_grid(2 * n), sup_box_body((1,) * n))
             assert res.lambdas == (Fraction(1),) * (2 * n)
             assert res.minkowski_ok()
 
@@ -173,7 +177,7 @@ class TestSuccessiveMinima:
 
 class TestPolar:
     def test_integer_grid_self_dual(self):
-        lat = IntLattice.integer_grid(4)
+        lat = unit_grid(4)
         dual = polar_of(lat)
         assert dual.rows == lat.rows and dual.denom == 1
 
@@ -309,7 +313,7 @@ class TestGaugeBodies:
 
     def test_minima_scale_with_body(self):
         # lambda of c*D is lambda/c: doubling weights halves every lambda
-        lat = IntLattice.integer_grid(4)
+        lat = unit_grid(4)
         res1 = successive_minima(lat, sup_box_body((1, 1)))
         res2 = successive_minima(lat, sup_box_body((2, 2)))
         assert [a / 2 for a in res1.lambdas] == list(res2.lambdas)

@@ -25,7 +25,7 @@ from charbox import (
     successive_minima,
     sup_box_body,
 )
-from charbox import lattice
+from charbox import intlinalg, lattice
 from charbox.sampling import rng_for, sample_basis, sample_z, small_edge_cap
 
 # ---------------------------------------------------------------------------
@@ -276,7 +276,7 @@ class TestIntegerAdjugate:
     def test_random_bases(self, rows, denom, data):
         lat = IntLattice(tuple(map(tuple, rows)), denom)
         assert lat.det == ref_det(rows)
-        det, adj = lattice._int_adjugate(rows)
+        det, adj = intlinalg._int_adjugate(rows)
         m = len(rows)
         for i in range(m):
             row = [sum(adj[i][k] * rows[k][j] for k in range(m)) for j in range(m)]
@@ -289,7 +289,7 @@ class TestIntegerAdjugate:
         assert lat.coefficients_of(vec) == want
 
     def test_singular_rows(self):
-        assert lattice._int_adjugate([[1, 2], [2, 4]]) == (0, None)
+        assert intlinalg._int_adjugate([[1, 2], [2, 4]]) == (0, None)
         with pytest.raises(ValueError, match="singular"):
             IntLattice(((1, 2), (2, 4)))
 

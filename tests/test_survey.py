@@ -12,7 +12,7 @@ import pytest
 from charbox import ExperimentConfig, cached_field, run_config, theorem_survey
 from charbox import field
 from charbox import survey as survey_mod
-from charbox.boxes import format_box_spec
+from charbox.boxes import format_box_spec, small_edge_cap
 from charbox.survey import ConfigError, render_csv, render_json, write_report, CSV_HEADERS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "sample_survey.csv"
@@ -115,6 +115,16 @@ class TestSurvey:
         assert 9 > math.sqrt(61 / 2) and 9 <= threshold and 55 > threshold
         assert all(r["_ok"] for r in report.rows)
 
+    @pytest.mark.parametrize("p", [7, 31, 61, 101])
+    def test_route_boundary_is_small_edge_cap(self, p):
+        cap = small_edge_cap(p)
+        cfg = ExperimentConfig(p_list=[p], n=2, boxes=[f"0:1,0:{cap}", f"0:{cap + 1},0:1"],
+                               char_indices=[5], seed=1)
+        report = theorem_survey(cfg)
+        assert [r["route"] for r in report.rows] == ["direct", "subdivided"]
+        assert "piece_edges=P" in report.rows[1]["pass_flags"]
+        assert all(r["_ok"] for r in report.rows)
+
     def test_golden_file(self, tmp_path):
         out = tmp_path / "survey.csv"
         code = run_config(str(CONFIG), out_override=str(out))
@@ -146,6 +156,16 @@ class TestSurvey:
 
 
 class TestCli:
+    def test_survey_tiny_prime_subdivides(self, capsys):
+        # p = 7: every edge above the cap 1 splits into unit pieces (was error=BoxError)
+        from charbox.cli import main
+
+        assert main(["survey", "--p", "7", "--n", "2", "--box", "0:3,0:1", "--char-index", "5"]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        row = out.out.splitlines()[1]
+        assert ",subdivided," in row and "piece_edges=P" in row and "partition_sum=P" in row
+
     def test_charsum_command(self, capsys):
         from charbox.cli import main
 
