@@ -19,6 +19,7 @@ from .field import FieldCtx, FqElem, is_generating
 
 _TABLE_CACHE_LIMIT = 0  # no field gets a q-sized chi table; values are computed on demand
 _SUM_CHUNK = 1 << 18  # exact-sum rows per pass: bounds scratch memory and every bucket sum
+_EXACT_UNIT = 1 << 1126  # frexp exponents start at -1073: a finite float is an integer times 2^-1126
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,7 +59,13 @@ class Character:
 
 
 def exact_sum(vals) -> float:
-    """Correctly rounded sum of float64 values: the same float as math.fsum."""
+    """Correctly rounded sum of float64 values: the same float as math.fsum.
+
+    The sum is taken exactly in a Python int and rounded once, so it does
+    not depend on the order of the values or on how they are cut into
+    slices (`_exact_int_sums`). Non-finite input goes to math.fsum, which
+    returns inf or nan or raises as it does; a finite sum beyond the float
+    range raises OverflowError."""
     return _exact_column_sums(np.asarray(vals, dtype=np.float64).reshape(-1, 1))[0]
 
 
@@ -68,14 +75,26 @@ def _fsum_complex(vals: np.ndarray) -> complex:
 
 
 def _exact_column_sums(x: np.ndarray) -> list[float]:
-    """math.fsum of each column of a 2-D float64 array, by exponent buckets.
+    """math.fsum of each column of a 2-D float64 array: the exact integer
+    sums of `_exact_int_sums`, each rounded once by int/int true division.
+    Non-finite input goes to math.fsum."""
+    totals = _exact_int_sums(x)
+    if totals is None:
+        return [math.fsum(col) for col in x.T]
+    return [t / _EXACT_UNIT for t in totals]
+
+
+def _exact_int_sums(x: np.ndarray) -> list[int] | None:
+    """Each column's exact sum as an integer count of 2^-1126, or None if x
+    holds a non-finite value. Integers add exactly, so the sums of the row
+    slices of an array, added and then divided by _EXACT_UNIT, give the
+    float that `_exact_column_sums` gives for the whole array.
 
     np.frexp writes a finite value as M * 2^(e - 53) with an integer
     |M| < 2^53, cut here as M = hi * 2^27 + lo with |hi| < 2^26, |lo| < 2^27.
     np.bincount sums the halves per (column, exponent); a bucket meets at
     most 2 * _SUM_CHUNK halves, so its float64 sum is exact. The buckets are
-    combined in a Python int and rounded once by int/int true division
-    (Neal 2015, "small superaccumulator"). Non-finite input goes to math.fsum.
+    combined in a Python int (Neal 2015, "small superaccumulator").
     """
     k = x.shape[1]
     totals = [0] * k
@@ -89,11 +108,11 @@ def _exact_column_sums(x: np.ndarray) -> list[float]:
         acc, acc_hi = (np.bincount(key, weights=h.ravel(), minlength=k * width) for h in (lo, hi))
         acc[27:] += acc_hi[:-27]
         if not np.isfinite(acc).all():
-            return [math.fsum(col) for col in x.T]
+            return None
         groups = (acc.astype(np.int64).reshape(k, -1, 8) << np.arange(8)).sum(axis=2)  # < 2^58
         for c, row in enumerate(groups.tolist()):
             totals[c] += sum(v << 8 * g for g, v in enumerate(row)) << (e0 + 1073)
-    return [t / (1 << 1126) for t in totals]  # frexp exponents start at -1073
+    return totals
 
 
 def box_char_sum(chi: Character, box: Box) -> complex:

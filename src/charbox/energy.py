@@ -2,7 +2,9 @@
 
 Counts are exact integers throughout. Kernels run on dlog arrays: products
 become dlog sums and ratios become dlog differences, so histograms over
-pairs reduce to vectorized bincounts. Inequality checks compare integers
+pairs reduce to vectorized bincounts, or to sorted-key counts where only
+the nonzero bins are read (their memory follows the pairs, not q).
+Inequality checks compare integers
 (squared where a bound has a square root), and the H_i < sqrt(p/2)
 hypothesis flag is the integer test H_i <= small_edge_cap(p).
 """
@@ -19,6 +21,7 @@ from .field import FieldCtx, FqElem
 
 PAIR_BUDGET = 2**28
 _CHUNK = 1 << 21  # pairwise kernel chunk size (elements of the lhs slice)
+_BLOCK = 32  # rows per block of the i < j sweep in `_self_ratio_bincount`
 
 
 class EnergyBudgetError(RuntimeError):
@@ -43,7 +46,7 @@ def _pair_chunks(left_dlogs: np.ndarray, right_dlogs: np.ndarray, sign: int, mod
     for start in range(0, len(left_dlogs), step):
         rows = slice(start, start + step)
         keys = left_dlogs[rows, None] + signed[None, :]
-        keys %= modulus
+        keys -= modulus * (keys // modulus)  # keys mod modulus; floor division by a scalar is the faster kernel
         yield rows, keys
 
 
@@ -58,6 +61,58 @@ def _pair_bincount(left_dlogs: np.ndarray, right_dlogs: np.ndarray, sign: int, m
         else:
             counts += np.bincount(keys.ravel(), minlength=modulus)
     return np.zeros(modulus, dtype=np.int64) if counts is None else counts
+
+
+def _self_ratio_bincount(dlogs: np.ndarray, modulus: int) -> np.ndarray:
+    """`_pair_bincount(dlogs, dlogs, -1, modulus)` from the pairs i < j only:
+    the swap (j, i) of a pair has the key -k of (i, j), and the n pairs
+    (i, i) have key 0. Rows go in blocks of _BLOCK, each against the later
+    columns plus the upper triangle of its own square; keys are binned about
+    _CHUNK at a time."""
+    counts = np.zeros(modulus, dtype=np.int64)
+    batch, size = [], 0
+    for s in range(0, len(dlogs), _BLOCK):
+        e = min(s + _BLOCK, len(dlogs))
+        block = dlogs[s:e, None] - dlogs[None, s:]  # rows s..e-1 against columns s..
+        batch += [block[:, e - s :].ravel(), block[:, : e - s][np.triu_indices(e - s, 1)]]
+        size += block.size
+        if size >= _CHUNK or e == len(dlogs):
+            keys = np.concatenate(batch)
+            keys -= modulus * (keys // modulus)
+            counts += np.bincount(keys, minlength=modulus)
+            batch, size = [], 0
+    counts[1:] += counts[:0:-1]  # k -> -k; numpy buffers the overlapping operand
+    counts[0] = 2 * counts[0] + len(dlogs)
+    return counts
+
+
+def _pair_counts(left_dlogs: np.ndarray, right_dlogs: np.ndarray, sign: int, modulus: int):
+    """(keys, counts): the nonzero bins of `_pair_bincount` in key order,
+    from per-chunk sorted keys merged; memory follows the pairs, not the
+    modulus."""
+    parts = [np.unique(keys, return_counts=True)
+             for _, keys in _pair_chunks(left_dlogs, right_dlogs, sign, modulus)]
+    if len(parts) <= 1:
+        return parts[0] if parts else (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    keys, slot = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
+    counts = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(counts, slot, np.concatenate([c for _, c in parts]))
+    return keys, counts
+
+
+def _ratio_counts(ctx: FieldCtx, idx: np.ndarray):
+    """(keys, counts, E) for sorted distinct encoded elements idx: the nonzero
+    bins of the ratio histogram h(u) = #{(x, y) : y/x = u} over idx minus 0,
+    and the energy E = h.h + r_zero^2, since xy = wt with all four nonzero
+    iff x/w = t/y and r_zero pairs have product 0."""
+    m = len(idx)
+    if m * m > PAIR_BUDGET:
+        raise EnergyBudgetError(f"{m}^2 pairs exceed pair budget {PAIR_BUDGET}")
+    zeros = int(m > 0 and idx[0] == 0)
+    dlogs = ctx.dlog[idx[zeros:]]
+    keys, counts = _pair_counts(dlogs, dlogs, -1, ctx.q1)
+    r_zero = 2 * zeros * m - zeros
+    return keys, counts, int(counts @ counts) + r_zero * r_zero
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,12 +218,13 @@ def one_dim_f_counts(p: int, h: int, z_values: np.ndarray) -> np.ndarray:
 
 
 def _difference_ratio_histogram(ctx: FieldCtx, idx_b0: np.ndarray) -> np.ndarray:
-    """Ratio histogram h_0 mod q - 1 of the difference box B0 (encoded
-    elements idx_b0). B0 = -B0 and dlog(-1) = (q-1)/2, so h_0 is twice the
-    histogram of the sign class {dlog < (q-1)/2} mod (q-1)/2, tiled twice."""
+    """One period of the ratio histogram h_0 mod q - 1 of the difference box
+    B0 (encoded elements idx_b0): h_0[d] is this array at d mod (q-1)/2.
+    B0 = -B0 and dlog(-1) = (q-1)/2, so h_0 has that period and is twice the
+    histogram of the sign class {dlog < (q-1)/2} mod (q-1)/2."""
     d_b0 = ctx.dlog[idx_b0[idx_b0 != 0]]
     half = d_b0[d_b0 < ctx.q1 // 2]  # one of each pair {x, -x}: a quarter of the pairs
-    h_0 = np.tile(_pair_bincount(half, half, -1, ctx.q1 // 2), 2)
+    h_0 = _self_ratio_bincount(half, ctx.q1 // 2)  # an eighth of the pairs swept
     h_0 *= 2
     return h_0
 
@@ -177,9 +233,10 @@ def s_decomposition(box: Box) -> RatioProfile:
     """Compute Z, f_0, S, S1, S2 for the difference box of B, check the
     energy chain and the prime-subfield factorization of f_0.
 
-    The sums run over h_0 (`_difference_ratio_histogram`) in closed form,
-    S2 over the p - 1 prime-subfield bins and the f, f_0 comparison over
-    the nonzero bins of h_B; all exact int64.
+    The sums run in closed form over one period of h_0
+    (`_difference_ratio_histogram`), S2 over the p - 1 prime-subfield bins
+    and the f, f_0 comparison over the nonzero bins of the ratio histogram
+    h_B, which also gives E(B) (`_ratio_counts`); all exact int64.
     """
     ctx = box.ctx
     p, q1 = ctx.p, ctx.q1
@@ -192,23 +249,20 @@ def s_decomposition(box: Box) -> RatioProfile:
         raise EnergyBudgetError("difference box pair count exceeds budget")
     zero_in_b = bool((idx_b == 0).any())
 
-    d_b = ctx.dlog[idx_b[idx_b != 0]]
-    h_b = _pair_bincount(d_b, d_b, -1, q1)  # ratio histogram y/x over B
-    h_0 = _difference_ratio_histogram(ctx, idx_b0)
-
-    e_b = energy(ctx, idx_b).E
+    in_zprime, h_b, e_b = _ratio_counts(ctx, idx_b)  # the nonzero bins of h_B
+    h_0 = _difference_ratio_histogram(ctx, idx_b0)  # one period: h_0 at d is h_0[d % half]
+    half = q1 // 2
     size = len(idx_b)
 
-    # S = sum over Z of (1 + h_0)^2, with h_0 = 0 off Z
-    z_count = int(np.count_nonzero(h_0))
-    s_total = int(h_0 @ h_0) + 2 * int(h_0.sum()) + z_count
-    f0_sub = 1 + h_0[:: q1 // (p - 1)]  # f_0 on the prime subfield F_p^*
+    # S = sum over Z of (1 + h_0)^2, with h_0 = 0 off Z; sums over q - 1 are twice those over a period
+    z_count = 2 * int(np.count_nonzero(h_0))
+    s_total = 2 * int(h_0 @ h_0) + 4 * int(h_0.sum()) + z_count
+    f0_sub = 1 + h_0[np.arange(0, q1, q1 // (p - 1)) % half]  # f_0 on the prime subfield F_p^*
     s2 = int(f0_sub @ f0_sub)
     s1 = s_total - int((f0_sub[f0_sub > 1] ** 2).sum())
 
     zb = 1 if zero_in_b else 0
-    in_zprime = np.flatnonzero(h_b)
-    f_vals = zb + h_b[in_zprime]
+    f_vals = zb + h_b
     sum_f_sq = int(f_vals @ f_vals)
 
     # f_0(z) = f_1(z) f_2(z) f_3(z) on the prime subfield; z in F_p has index z
@@ -216,14 +270,14 @@ def s_decomposition(box: Box) -> RatioProfile:
     product = np.ones(p - 1, dtype=np.int64)
     for h in box.H:
         product *= one_dim_f_counts(p, h, z_ints)
-    f0_prime = 1 + h_0[ctx.dlog[z_ints]]
+    f0_prime = 1 + h_0[ctx.dlog[z_ints] % half]
     factorization_ok = bool((product == f0_prime).all())
 
     checks = {
         "zero_in_B": zero_in_b,
         "chain_2_1": e_b <= 2 * size**2 + sum_f_sq,
         "chain_3sq": e_b <= 3 * size**2 + s_total,
-        "f_le_f0": bool((f_vals <= 1 + h_0[in_zprime]).all()),
+        "f_le_f0": bool((f_vals <= 1 + h_0[in_zprime % half]).all()),
         "s_le_s1_plus_s2": s_total <= s1 + s2,
         "f0_factorizes_on_prime_subfield": factorization_ok,
         "f0_at_least_one": bool((h_0 >= 0).all()),
@@ -275,8 +329,7 @@ def tau_profile(box: Box, box0: Box) -> TauProfile:
     sum_tau_sq_nonzero = int(cross @ cross)
     sum_tau_sq = sum_tau_sq_nonzero + tau_zero * tau_zero
 
-    e_b = energy(ctx, idx_b).E
-    e_b0 = energy(ctx, idx_b0).E
+    e_b, e_b0 = (_ratio_counts(ctx, idx)[2] for idx in (idx_b, idx_b0))
     checks = {
         "total_pairs": sum_tau == len(idx_b) * (len(idx_b0) - 1),
         "tau_zero_bound": tau_zero <= len(idx_b0),

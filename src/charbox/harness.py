@@ -8,12 +8,14 @@ all intermediate quantities so failures are diagnosable.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .boxes import Box, scaled_box, small_edge_cap
-from .characters import Character, box_char_sum, exact_sum, _fsum_complex
+from .characters import _EXACT_UNIT, Character, _exact_int_sums, _fsum_complex, box_char_sum, exact_sum
 from .energy import tau_profile
 
 R_CAP = 30
@@ -87,36 +89,54 @@ class MomentResult:
     census_ok: bool
 
 
-_MOMENT_CHUNK = 1 << 18
+_MOMENT_CHUNK = 1 << 18  # u's per rounded partial sum
+_MOMENT_PIECE = 1 << 15  # u's per task: bounds each thread's working memory
+_THREADED_MIN_Q = 1 << 16  # smaller fields run on the calling thread: threads cost more than they save
 
 
 def moment_sum(chi: Character, interval: range, r: int, budget: int = MOMENT_BUDGET) -> MomentResult:
-    """sum over u in F_q of |sum over z in I of chi(u+z)|^(2r), streamed over
-    u in fixed-size chunks (memory independent of q), against the explicit
-    bound 2 r q^(1/2) |I|^(2r) + q |I|^r r^(2r). u + z stays in u's row of p
-    indices, so chi is evaluated once on the rows enclosing a chunk, and
-    shift z adds those rows rotated left by z mod p, as two slices, into an
-    accumulator of the same shape: every u sums the same values in the same
-    order as a gather of chi(u + z) would."""
+    """sum over u in F_q of |sum over z in I of chi(u+z)|^(2r), against the
+    explicit bound 2 r q^(1/2) |I|^(2r) + q |I|^r r^(2r).
+
+    u runs in chunks of _MOMENT_CHUNK, and each chunk in pieces of
+    _MOMENT_PIECE (`_moment_terms`). A piece's terms are summed exactly into
+    an integer (`_exact_int_sums`). A chunk's partial is the sum of its
+    pieces' integers rounded once, which is the float exact_sum of the whole
+    chunk gives, and the value is the exact_sum of the partials. Integer
+    sums do not depend on where pieces are cut or which thread computed
+    them, so the value is the same bits at any thread count and piece size.
+
+    For q >= _THREADED_MIN_Q the pieces run on a ThreadPoolExecutor with one
+    thread per CPU this process may use; numpy releases the GIL in the
+    q-sized work. The pool is made and joined within the call, so none
+    outlives it into a fork. Memory in use is about threads x the working
+    set of one piece, whatever q is."""
     ctx = chi.ctx
-    p = ctx.p
     size = len(interval)
     if size < 1:
         raise RegimeError("interval must be nonempty")
     if ctx.q * size > budget:
         raise RegimeError(f"q*|I| = {ctx.q * size} exceeds moment budget {budget}")
+    chunks = [(a, min(a + _MOMENT_CHUNK, ctx.q)) for a in range(0, ctx.q, _MOMENT_CHUNK)]
+    pieces = [(s, min(s + _MOMENT_PIECE, b)) for a, b in chunks for s in range(a, b, _MOMENT_PIECE)]
+
+    def piece_sum(bounds):
+        total = _exact_int_sums(_moment_terms(chi, interval, r, *bounds)[:, None])
+        return None if total is None else total[0]
+
+    threads = _moment_threads(ctx.q)
+    if threads > 1:
+        with ThreadPoolExecutor(threads) as pool:
+            sums = iter(list(pool.map(piece_sum, pieces)))
+    else:
+        sums = map(piece_sum, pieces)
     partials = []
-    for start in range(0, ctx.q, _MOMENT_CHUNK):
-        stop = min(start + _MOMENT_CHUNK, ctx.q)
-        lo = start - start % p
-        rows = chi.values_at(np.arange(lo, -(-stop // p) * p, dtype=np.int64)).reshape(-1, p)
-        acc = np.zeros_like(rows)
-        for z in interval:
-            s = z % p
-            acc[:, : p - s] += rows[:, s:]
-            acc[:, p - s :] += rows[:, :s]
-        inner = acc.ravel()[start - lo : stop - lo]  # lo is a multiple of p
-        partials.append(exact_sum(np.abs(inner) ** (2 * r)))
+    for a, b in chunks:
+        ints = [next(sums) for _ in range(a, b, _MOMENT_PIECE)]
+        if None in ints:  # a non-finite term: math.fsum of the whole chunk, as exact_sum does
+            partials.append(math.fsum(_moment_terms(chi, interval, r, a, b)))
+        else:
+            partials.append(sum(ints) / _EXACT_UNIT)
     value = exact_sum(partials)
     bound = 2 * r * math.sqrt(ctx.q) * float(size) ** (2 * r) + ctx.q * float(size) ** r * float(
         r
@@ -132,6 +152,39 @@ def moment_sum(chi: Character, interval: range, r: int, budget: int = MOMENT_BUD
         value <= bound + 1e-3,
         bad <= size**r * r ** (2 * r),
     )
+
+
+def _moment_threads(q: int) -> int:
+    """Threads for a moment sum over F_q: one per CPU this process may use."""
+    return len(os.sched_getaffinity(0)) if q >= _THREADED_MIN_Q else 1
+
+
+def _moment_terms(chi: Character, interval: range, r: int, start: int, stop: int) -> np.ndarray:
+    """|sum over z in I of chi(u+z)|^(2r) for u in [start, stop).
+
+    u + z stays in u's row of p indices, so chi is evaluated once on the
+    rows enclosing [start, stop), and shift z adds those rows rotated left
+    by z mod p, as two slices, into an accumulator of the same shape: every
+    u sums the same values in the same order as a gather of chi(u + z)
+    would. Runs on worker threads, so it calls no public charbox function:
+    a tracer that wraps those keeps one span stack for the calling thread.
+    """
+    p = chi.ctx.p
+    lo = start - start % p
+    dlogs = chi.ctx.dlog[lo : -(-stop // p) * p]
+    rows = chi._of_dlogs(dlogs, dlogs < 0).reshape(-1, p)
+    acc = np.empty_like(rows)
+    for i, z in enumerate(interval):
+        s = z % p
+        if i == 0:  # a copy, not 0 + chi: that differs only in the sign of a zero part, which abs drops
+            acc[:, : p - s] = rows[:, s:]
+            acc[:, p - s :] = rows[:, :s]
+        else:
+            acc[:, : p - s] += rows[:, s:]
+            acc[:, p - s :] += rows[:, :s]
+    inner = np.abs(acc.ravel()[start - lo : stop - lo])  # lo is a multiple of p
+    inner **= 2 * r
+    return inner
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ an index gather per shift, and the Fraction census.
 import importlib
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -33,7 +34,8 @@ def profile_fields(prof, h_0) -> tuple:
 
 def s_decomposition_with_h0(box):
     """`energy.s_decomposition` and the h_0 it built, read from the private
-    builder it calls."""
+    histogram function it calls; that returns one period, (q-1)/2 long, and
+    h_0 over F_q^* is that period twice."""
     built = []
     real = energy_mod._difference_ratio_histogram
 
@@ -43,8 +45,8 @@ def s_decomposition_with_h0(box):
 
     with mock.patch.object(energy_mod, "_difference_ratio_histogram", capture):
         prof = energy_mod.s_decomposition(box)
-    assert len(built) == 1
-    return prof, built[0]
+    assert len(built) == 1 and len(built[0]) == box.ctx.q1 // 2
+    return prof, np.tile(built[0], 2)
 
 
 def moment_bits(res) -> tuple:
@@ -78,6 +80,25 @@ def test_s_decomposition_full_edges_match_dense():
     ctx = cached_field(101, 3, seed=0)
     box = Box(sample_basis(ctx, rng_for(4, 101)), (3, -2, 10), (7, 7, 7))
     assert profile_fields(*s_decomposition_with_h0(box)) == profile_fields(*s_decomposition_dense(box))
+
+
+@settings(max_examples=30, deadline=None)
+@given(field=st.sampled_from(FIELDS), seed=st.integers(0, 2**16), through_zero=st.booleans())
+def test_s_decomposition_energy_is_energy(field, seed, through_zero):
+    # E(B) from the ratio histogram h_B equals the product-histogram energy
+    p, n = field
+    ctx = cached_field(p, n, seed=0)
+    rng = rng_for(seed, 52, p, n)
+    cap = small_edge_cap(p) if n == 2 else 4
+    H = tuple(int(v) for v in rng.integers(1, cap + 1, size=n))
+    if through_zero:  # every edge's range N_i + 1 .. N_i + H_i holds coordinate 0
+        N = tuple(-int(rng.integers(1, h + 1)) for h in H)
+    else:  # coordinate 0 in no edge: 0 is not in B
+        N = tuple(int(rng.integers(0, p - h)) for h in H)
+    box = Box(sample_basis(ctx, rng), N, H)
+    prof = energy_mod.s_decomposition(box)
+    assert prof.checks["zero_in_B"] == through_zero
+    assert prof.E == energy_mod.energy(ctx, box).E
 
 
 @settings(max_examples=40, deadline=None)

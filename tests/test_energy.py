@@ -149,6 +149,42 @@ class TestPairSweep:
                     expected[(a + sign * b) % modulus] += 1
             assert np.array_equal(energy_mod._pair_bincount(left, right, sign, modulus), expected)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dlogs=st.lists(st.integers(0, 10**6), max_size=40),
+        modulus=st.sampled_from([1, 2, 480, 961, 1_000_003]),
+        block=st.sampled_from([1, 3, 32]),
+        chunk=st.sampled_from([5, 50, 1 << 21]),
+    )
+    def test_self_ratio_bincount_matches_all_pairs(self, dlogs, modulus, block, chunk):
+        # the i < j sweep plus reflection and diagonal is the all-pairs histogram
+        dlogs = np.array(dlogs, dtype=np.int64) % modulus
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(energy_mod, "_BLOCK", block)
+            mp.setattr(energy_mod, "_CHUNK", chunk)
+            got = energy_mod._self_ratio_bincount(dlogs, modulus)
+        expected = np.zeros(modulus, dtype=np.int64)
+        np.add.at(expected, (dlogs[:, None] - dlogs[None, :]).ravel() % modulus, 1)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(size=st.integers(0, 30), with_zero=st.booleans(), chunk=st.sampled_from([7, 100, 1 << 21]),
+           seed=st.integers(0, 2**16))
+    def test_ratio_counts_match_dense_histogram_and_energy(self, f31_2, size, with_zero, chunk, seed):
+        # sorted-key counts, merged over chunks, are the nonzero bins of the
+        # dense ratio histogram, and their square sum gives E
+        ctx = f31_2
+        idx = np.unique(rng_for(seed, 42).integers(1, ctx.q, size=size))
+        if with_zero:
+            idx = np.concatenate([[0], idx])
+        dlogs = ctx.dlog[idx[idx != 0]]
+        dense = energy_mod._pair_bincount(dlogs, dlogs, -1, ctx.q1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(energy_mod, "_CHUNK", chunk)
+            keys, counts, e = energy_mod._ratio_counts(ctx, idx)
+        assert np.array_equal(keys, np.flatnonzero(dense)) and np.array_equal(counts, dense[keys])
+        assert counts.dtype == np.int64 and e == energy(ctx, idx).E
+
     def test_ratio_set_matches_pair_loop(self, f31_2, monkeypatch):
         monkeypatch.setattr(energy_mod, "_CHUNK", 25)
         elems = random_subset(f31_2, rng_for(0, 41), 12, include_zero=True)
@@ -248,7 +284,8 @@ class TestSDecomposition:
         for _ in range(4):
             box = sample_box(sample_basis(ctx, rng), rng, regime="small")
             b0 = difference_box(box)
-            h_0 = energy_mod._difference_ratio_histogram(ctx, np.unique(b0.element_indices()))
+            period = energy_mod._difference_ratio_histogram(ctx, np.unique(b0.element_indices()))
+            h_0 = np.tile(period, 2)  # the helper returns one period of h_0, (q-1)/2 long
             in_z = np.flatnonzero(h_0)
             assert ratio_set(ctx, b0) == {ctx.decode(int(ctx.exp[d])) for d in in_z}
             sampled = rng.integers(0, ctx.q1, size=40)
