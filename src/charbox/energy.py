@@ -1,12 +1,12 @@
 """Multiplicative energy, solution counts and ratio statistics of boxes.
 
 Counts are exact integers throughout. Kernels run on dlog arrays: products
-become dlog sums and ratios become dlog differences, so histograms over
-pairs reduce to vectorized bincounts, or to sorted-key counts where only
-the nonzero bins are read (their memory follows the pairs, not q).
-Inequality checks compare integers
-(squared where a bound has a square root), and the H_i < sqrt(p/2)
-hypothesis flag is the integer test H_i <= small_edge_cap(p).
+become dlog sums and ratios become dlog differences. Pair histograms are
+sorted keys with counts (`_pair_counts`), so their memory follows the pairs,
+not q; the one modulus-sized array is the ratio histogram of a difference
+box (`_self_ratio_bincount`), whose pairs approach q. Inequality checks
+compare integers (squared where a bound has a square root), and the
+H_i < sqrt(p/2) hypothesis flag is the integer test H_i <= small_edge_cap(p).
 """
 
 from __future__ import annotations
@@ -50,25 +50,12 @@ def _pair_chunks(left_dlogs: np.ndarray, right_dlogs: np.ndarray, sign: int, mod
         yield rows, keys
 
 
-def _pair_bincount(left_dlogs: np.ndarray, right_dlogs: np.ndarray, sign: int, modulus: int) -> np.ndarray:
-    """Histogram over dlog(a) + sign*dlog(b) mod modulus for all pairs (a, b).
-    The first chunk's bincount is the accumulator: one modulus-sized array
-    lives beside the current chunk's."""
-    counts = None
-    for _, keys in _pair_chunks(left_dlogs, right_dlogs, sign, modulus):
-        if counts is None:
-            counts = np.bincount(keys.ravel(), minlength=modulus)
-        else:
-            counts += np.bincount(keys.ravel(), minlength=modulus)
-    return np.zeros(modulus, dtype=np.int64) if counts is None else counts
-
-
 def _self_ratio_bincount(dlogs: np.ndarray, modulus: int) -> np.ndarray:
-    """`_pair_bincount(dlogs, dlogs, -1, modulus)` from the pairs i < j only:
-    the swap (j, i) of a pair has the key -k of (i, j), and the n pairs
-    (i, i) have key 0. Rows go in blocks of _BLOCK, each against the later
-    columns plus the upper triangle of its own square; keys are binned about
-    _CHUNK at a time."""
+    """The dense histogram of dlogs[i] - dlogs[j] mod modulus over all pairs
+    (i, j), from the pairs i < j only: the swap (j, i) of a pair has the key
+    -k of (i, j), and the n pairs (i, i) have key 0. Rows go in blocks of
+    _BLOCK, each against the later columns plus the upper triangle of its own
+    square; keys are binned about _CHUNK at a time."""
     counts = np.zeros(modulus, dtype=np.int64)
     batch, size = [], 0
     for s in range(0, len(dlogs), _BLOCK):
@@ -87,9 +74,9 @@ def _self_ratio_bincount(dlogs: np.ndarray, modulus: int) -> np.ndarray:
 
 
 def _pair_counts(left_dlogs: np.ndarray, right_dlogs: np.ndarray, sign: int, modulus: int):
-    """(keys, counts): the nonzero bins of `_pair_bincount` in key order,
-    from per-chunk sorted keys merged; memory follows the pairs, not the
-    modulus."""
+    """(keys, counts): the histogram of left_dlogs[i] + sign * right_dlogs[j]
+    mod modulus over all pairs (i, j), as its nonzero bins in key order, from
+    per-chunk sorted keys merged; memory follows the pairs, not the modulus."""
     parts = [np.unique(keys, return_counts=True)
              for _, keys in _pair_chunks(left_dlogs, right_dlogs, sign, modulus)]
     if len(parts) <= 1:
@@ -100,19 +87,26 @@ def _pair_counts(left_dlogs: np.ndarray, right_dlogs: np.ndarray, sign: int, mod
     return keys, counts
 
 
-def _ratio_counts(ctx: FieldCtx, idx: np.ndarray):
-    """(keys, counts, E) for sorted distinct encoded elements idx: the nonzero
-    bins of the ratio histogram h(u) = #{(x, y) : y/x = u} over idx minus 0,
-    and the energy E = h.h + r_zero^2, since xy = wt with all four nonzero
-    iff x/w = t/y and r_zero pairs have product 0."""
+def _pair_energy(ctx: FieldCtx, idx: np.ndarray, sign: int):
+    """(keys, counts, r_zero, E) for sorted distinct encoded elements idx:
+    the nonzero bins of the product (sign +1) or ratio (sign -1) histogram
+    over idx minus 0, the number r_zero of pairs (x, y) in idx^2 with xy = 0,
+    and E = counts.counts + r_zero^2. Both signs give E(idx): xy = wt with
+    all four nonzero iff x/w = t/y."""
     m = len(idx)
     if m * m > PAIR_BUDGET:
         raise EnergyBudgetError(f"{m}^2 pairs exceed pair budget {PAIR_BUDGET}")
     zeros = int(m > 0 and idx[0] == 0)
     dlogs = ctx.dlog[idx[zeros:]]
-    keys, counts = _pair_counts(dlogs, dlogs, -1, ctx.q1)
+    keys, counts = _pair_counts(dlogs, dlogs, sign, ctx.q1)
     r_zero = 2 * zeros * m - zeros
-    return keys, counts, int(counts @ counts) + r_zero * r_zero
+    return keys, counts, r_zero, int(counts @ counts) + r_zero * r_zero  # exact: E <= m^3 < 2^63
+
+
+def _count_at(keys: np.ndarray, counts: np.ndarray, key: int) -> int:
+    """The count of key in sorted (keys, counts), 0 where key is absent."""
+    i = int(np.searchsorted(keys, key))
+    return int(counts[i]) if i < len(keys) and keys[i] == key else 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,64 +117,51 @@ class EnergyProfile:
     E: int
     size: int
     r_zero: int
-    _nonzero_counts: np.ndarray  # indexed by dlog of the product
+    _keys: np.ndarray = field(repr=False)  # sorted dlogs of the nonzero products
+    _counts: np.ndarray = field(repr=False)  # r at each key
 
     def r(self, m: FqElem) -> int:
         if not any(m):
             return self.r_zero
-        return int(self._nonzero_counts[self.ctx.dlog_of(m)])
+        return _count_at(self._keys, self._counts, self.ctx.dlog_of(m))
 
     @property
     def product_histogram(self) -> dict[FqElem, int]:
         out: dict[FqElem, int] = {}
         if self.r_zero:
             out[self.ctx.zero()] = self.r_zero
-        for d in np.nonzero(self._nonzero_counts)[0]:
-            out[self.ctx.decode(int(self.ctx.exp[d]))] = int(self._nonzero_counts[d])
+        for d, c in zip(self._keys.tolist(), self._counts.tolist()):
+            out[self.ctx.decode(int(self.ctx.exp[d]))] = c
         return out
 
     @property
     def total_pairs(self) -> int:
-        return self.r_zero + int(self._nonzero_counts.sum())
+        return self.r_zero + int(self._counts.sum())
 
 
-def energy(ctx: FieldCtx, elements: Iterable[FqElem] | Box | np.ndarray,
-           pair_budget: int = PAIR_BUDGET) -> EnergyProfile:
+def energy(ctx: FieldCtx, elements: Iterable[FqElem] | Box | np.ndarray) -> EnergyProfile:
     """E(B) = #{(x, y, w, t) in B^4 : xy = wt} via the product histogram."""
     idx = _as_indices(ctx, elements)
-    m = len(idx)
-    if m * m > pair_budget:
-        raise EnergyBudgetError(f"{m}^2 products exceed pair budget {pair_budget}")
-    zeros = int((idx == 0).sum())
-    dlogs = ctx.dlog[idx[idx != 0]]
-    counts = _pair_bincount(dlogs, dlogs, +1, ctx.q1)
-    r_zero = 2 * zeros * m - zeros * zeros  # pairs with x = 0 or y = 0
-    e = int(counts @ counts) + r_zero * r_zero  # exact: E <= m^3 < 2^63 under the pair budget
-    return EnergyProfile(ctx, e, m, r_zero, counts)
+    keys, counts, r_zero, e = _pair_energy(ctx, idx, +1)
+    return EnergyProfile(ctx, e, len(idx), r_zero, keys, counts)
 
 
 def f_count(ctx: FieldCtx, elements: Iterable[FqElem] | Box | np.ndarray, z: FqElem) -> int:
     """#{(x, y) in S^2 : xz = y}, exact."""
     idx = _as_indices(ctx, elements)
-    member = np.zeros(ctx.q, dtype=bool)
-    member[idx] = True
-    has_zero = bool(member[0])
+    zeros = int(len(idx) > 0 and idx[0] == 0)
     if not any(z):
-        return int(member[0]) * len(idx)  # x*0 = y forces y = 0
-    dz = ctx.dlog_of(z)
-    nz = idx[idx != 0]
-    images = ctx.exp[(ctx.dlog[nz] + dz) % ctx.q1]
-    return int(member[images].sum()) + (1 if has_zero else 0)
+        return zeros * len(idx)  # x*0 = y forces y = 0
+    images = ctx.exp[(ctx.dlog[idx[zeros:]] + ctx.dlog_of(z)) % ctx.q1]
+    return int(np.isin(images, idx, assume_unique=True).sum()) + zeros
 
 
 def ratio_set(ctx: FieldCtx, elements: Iterable[FqElem] | Box | np.ndarray) -> set[FqElem]:
     """Z' = {y x^{-1} : x, y in S minus 0}."""
     idx = _as_indices(ctx, elements)
     dlogs = ctx.dlog[idx[idx != 0]]
-    diffs: set[int] = set()  # per-chunk uniques: no (q-1)-sized histogram for a small set
-    for _, keys in _pair_chunks(dlogs, dlogs, -1, ctx.q1):
-        diffs.update(np.unique(keys).tolist())
-    return {ctx.decode(int(ctx.exp[d])) for d in diffs}
+    keys, _ = _pair_counts(dlogs, dlogs, -1, ctx.q1)
+    return {ctx.decode(int(e)) for e in ctx.exp[keys]}
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +217,7 @@ def s_decomposition(box: Box) -> RatioProfile:
     The sums run in closed form over one period of h_0
     (`_difference_ratio_histogram`), S2 over the p - 1 prime-subfield bins
     and the f, f_0 comparison over the nonzero bins of the ratio histogram
-    h_B, which also gives E(B) (`_ratio_counts`); all exact int64.
+    h_B, which also gives E(B) (`_pair_energy`); all exact int64.
     """
     ctx = box.ctx
     p, q1 = ctx.p, ctx.q1
@@ -249,7 +230,7 @@ def s_decomposition(box: Box) -> RatioProfile:
         raise EnergyBudgetError("difference box pair count exceeds budget")
     zero_in_b = bool((idx_b == 0).any())
 
-    in_zprime, h_b, e_b = _ratio_counts(ctx, idx_b)  # the nonzero bins of h_B
+    in_zprime, h_b, _, e_b = _pair_energy(ctx, idx_b, -1)  # the nonzero bins of h_B
     h_0 = _difference_ratio_histogram(ctx, idx_b0)  # one period: h_0 at d is h_0[d % half]
     half = q1 // 2
     size = len(idx_b)
@@ -257,20 +238,19 @@ def s_decomposition(box: Box) -> RatioProfile:
     # S = sum over Z of (1 + h_0)^2, with h_0 = 0 off Z; sums over q - 1 are twice those over a period
     z_count = 2 * int(np.count_nonzero(h_0))
     s_total = 2 * int(h_0 @ h_0) + 4 * int(h_0.sum()) + z_count
-    f0_sub = 1 + h_0[np.arange(0, q1, q1 // (p - 1)) % half]  # f_0 on the prime subfield F_p^*
-    s2 = int(f0_sub @ f0_sub)
-    s1 = s_total - int((f0_sub[f0_sub > 1] ** 2).sum())
+    z_ints = np.arange(1, p, dtype=np.int64)  # F_p^*; z in F_p has index z
+    f0_prime = 1 + h_0[ctx.dlog[z_ints] % half]
+    s2 = int(f0_prime @ f0_prime)
+    s1 = s_total - int((f0_prime[f0_prime > 1] ** 2).sum())
 
     zb = 1 if zero_in_b else 0
     f_vals = zb + h_b
     sum_f_sq = int(f_vals @ f_vals)
 
-    # f_0(z) = f_1(z) f_2(z) f_3(z) on the prime subfield; z in F_p has index z
-    z_ints = np.arange(1, p, dtype=np.int64)
+    # f_0(z) = f_1(z) f_2(z) f_3(z) on the prime subfield
     product = np.ones(p - 1, dtype=np.int64)
     for h in box.H:
         product *= one_dim_f_counts(p, h, z_ints)
-    f0_prime = 1 + h_0[ctx.dlog[z_ints] % half]
     factorization_ok = bool((product == f0_prime).all())
 
     checks = {
@@ -302,12 +282,13 @@ class TauProfile:
     b_size: int
     b0_size: int
     checks: dict[str, bool]
-    _cross: np.ndarray = field(repr=False, default=None)
+    _keys: np.ndarray = field(repr=False)  # sorted dlogs of the nonzero cross ratios
+    _counts: np.ndarray = field(repr=False)  # tau at each key
 
     def tau_of(self, ctx: FieldCtx, u: FqElem) -> int:
         if not any(u):
             return self.tau_zero
-        return int(self._cross[ctx.dlog_of(u)])
+        return _count_at(self._keys, self._counts, ctx.dlog_of(u))
 
 
 def tau_profile(box: Box, box0: Box) -> TauProfile:
@@ -323,16 +304,16 @@ def tau_profile(box: Box, box0: Box) -> TauProfile:
     nz_b = idx_b[idx_b != 0]
     nz_b0 = idx_b0[idx_b0 != 0]
 
-    cross = _pair_bincount(ctx.dlog[nz_b], ctx.dlog[nz_b0], -1, ctx.q1)
+    keys, counts = _pair_counts(ctx.dlog[nz_b], ctx.dlog[nz_b0], -1, ctx.q1)
     tau_zero = (1 if zero_in_b else 0) * len(nz_b0)
-    sum_tau = int(cross.sum()) + tau_zero
-    sum_tau_sq_nonzero = int(cross @ cross)
+    sum_tau = int(counts.sum()) + tau_zero
+    sum_tau_sq_nonzero = int(counts @ counts)
     sum_tau_sq = sum_tau_sq_nonzero + tau_zero * tau_zero
 
-    e_b, e_b0 = (_ratio_counts(ctx, idx)[2] for idx in (idx_b, idx_b0))
+    e_b, e_b0 = (_pair_energy(ctx, idx, -1)[3] for idx in (idx_b, idx_b0))
     checks = {
         "total_pairs": sum_tau == len(idx_b) * (len(idx_b0) - 1),
         "tau_zero_bound": tau_zero <= len(idx_b0),
         "cauchy_schwarz": sum_tau_sq_nonzero**2 <= e_b * e_b0,
     }
-    return TauProfile(sum_tau, sum_tau_sq, tau_zero, len(idx_b), len(idx_b0), checks, cross)
+    return TauProfile(sum_tau, sum_tau_sq, tau_zero, len(idx_b), len(idx_b0), checks, keys, counts)

@@ -268,13 +268,7 @@ def _build_tables(ctx: FieldCtx) -> None:
     ctx.dlog, ctx.exp = dlog, exp
 
 
-def build_field(
-    p: int,
-    n: int,
-    modulus: Sequence[int] | None = None,
-    seed: int = 0,
-    table_budget: int = DEFAULT_TABLE_BUDGET,
-) -> FieldCtx:
+def build_field(p: int, n: int, modulus: Sequence[int] | None = None, seed: int = 0) -> FieldCtx:
     """Construct F_{p^n} with verified modulus, generator and dlog table."""
     if not is_prime(p):
         raise FieldError(f"p = {p} is not prime")
@@ -282,8 +276,8 @@ def build_field(
         raise FieldError("p must be odd")
     if n not in (1, 2, 3):
         raise FieldError(f"extension degree must be 1, 2 or 3, got {n}")
-    if p**n > table_budget:
-        raise FieldError(f"p^n = {p**n} exceeds table budget {table_budget}")
+    if p**n > DEFAULT_TABLE_BUDGET:
+        raise FieldError(f"p^n = {p**n} exceeds table budget {DEFAULT_TABLE_BUDGET}")
     if modulus is not None:
         m = [int(c) % p for c in modulus]
         if len(m) != n + 1 or modulus[-1] % p != 1:

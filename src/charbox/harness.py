@@ -94,7 +94,7 @@ _MOMENT_PIECE = 1 << 15  # u's per task: bounds each thread's working memory
 _THREADED_MIN_Q = 1 << 16  # smaller fields run on the calling thread: threads cost more than they save
 
 
-def moment_sum(chi: Character, interval: range, r: int, budget: int = MOMENT_BUDGET) -> MomentResult:
+def moment_sum(chi: Character, interval: range, r: int) -> MomentResult:
     """sum over u in F_q of |sum over z in I of chi(u+z)|^(2r), against the
     explicit bound 2 r q^(1/2) |I|^(2r) + q |I|^r r^(2r).
 
@@ -115,8 +115,8 @@ def moment_sum(chi: Character, interval: range, r: int, budget: int = MOMENT_BUD
     size = len(interval)
     if size < 1:
         raise RegimeError("interval must be nonempty")
-    if ctx.q * size > budget:
-        raise RegimeError(f"q*|I| = {ctx.q * size} exceeds moment budget {budget}")
+    if ctx.q * size > MOMENT_BUDGET:
+        raise RegimeError(f"q*|I| = {ctx.q * size} exceeds moment budget {MOMENT_BUDGET}")
     chunks = [(a, min(a + _MOMENT_CHUNK, ctx.q)) for a in range(0, ctx.q, _MOMENT_CHUNK)]
     pieces = [(s, min(s + _MOMENT_PIECE, b)) for a, b in chunks for s in range(a, b, _MOMENT_PIECE)]
 

@@ -109,9 +109,20 @@ def moment_sum_gather(chi, interval, r):
     )
 
 
+def ratio_bincount_dense(dlogs, modulus):
+    """np.bincount of dlogs[i] - dlogs[j] mod modulus over all pairs (i, j),
+    taken over the rows of the difference matrix 256 at a time."""
+    counts = np.zeros(modulus, dtype=np.int64)
+    for s in range(0, len(dlogs), 256):
+        keys = (dlogs[s : s + 256, None] - dlogs[None, :]) % modulus
+        counts += np.bincount(keys.ravel(), minlength=modulus)
+    return counts
+
+
 def s_decomposition_dense(box):
-    """(profile, h_0): `energy.s_decomposition` with h_0 binned over all of
-    B0's pairs mod q - 1 and every sum taken over (q-1)-sized masks."""
+    """(profile, h_0): `energy.s_decomposition` with h_B and h_0 binned
+    densely over all pairs mod q - 1 and every sum taken over (q-1)-sized
+    masks."""
     ctx = box.ctx
     p = ctx.p
     hypothesis_ok = all(h < math.sqrt(p / 2) for h in box.H)
@@ -120,8 +131,7 @@ def s_decomposition_dense(box):
     zero_in_b = bool((idx_b == 0).any())
     d_b = ctx.dlog[idx_b[idx_b != 0]]
     d_b0 = ctx.dlog[idx_b0[idx_b0 != 0]]
-    h_b = energy_mod._pair_bincount(d_b, d_b, -1, ctx.q1)
-    h_0 = energy_mod._pair_bincount(d_b0, d_b0, -1, ctx.q1)
+    h_b, h_0 = (ratio_bincount_dense(d, ctx.q1) for d in (d_b, d_b0))
     e_b = energy_mod.energy(ctx, idx_b).E
     size = len(idx_b)
 

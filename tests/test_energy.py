@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -22,7 +23,7 @@ from charbox.energy import EnergyBudgetError, one_dim_f_counts
 from charbox.lattice import minima_for_z
 from charbox.pilot import _lambda1_key_table
 from charbox.sampling import rng_for, sample_basis, sample_box
-from oracles import energy_bruteforce
+from oracles import energy_bruteforce, ratio_bincount_dense
 
 energy_mod = importlib.import_module("charbox.energy")  # the package re-exports a function `energy`
 
@@ -41,11 +42,19 @@ class TestEnergy:
         assert energy(f31_2, [f31_2.decode(7)]).E == 1
 
     def test_zero_and_one_element(self, f31_2):
-        prof = energy(f31_2, [f31_2.zero(), f31_2.decode(9)])
+        ctx = f31_2
+        prof = energy(ctx, [ctx.zero(), ctx.decode(9)])
         assert prof.E == 10
         assert prof.r_zero == 3
-        sq = f31_2.mul(f31_2.decode(9), f31_2.decode(9))
+        sq = ctx.mul(ctx.decode(9), ctx.decode(9))
         assert prof.r(sq) == 1
+        # the one key is dlog(sq): dlogs before and after it count 0
+        d = ctx.dlog_of(sq)
+        assert 0 < d - 1 and d + 1 < ctx.q1 - 1
+        for other in (0, d - 1, d + 1, ctx.q1 - 1):
+            assert prof.r(ctx.decode(int(ctx.exp[other]))) == 0
+        only_zero = energy(ctx, [ctx.zero()])  # no nonzero products, so no keys
+        assert (only_zero.E, only_zero.r(ctx.zero()), only_zero.r(ctx.one()), only_zero.r(sq)) == (1, 1, 0, 0)
 
     def test_full_multiplicative_group(self):
         ctx = cached_field(3, 2, seed=0)
@@ -85,9 +94,10 @@ class TestEnergy:
             if not z:
                 assert prof.E <= m**3
 
-    def test_budget(self, f31_2):
+    def test_budget(self, f31_2, monkeypatch):
+        monkeypatch.setattr(energy_mod, "PAIR_BUDGET", 10)
         with pytest.raises(EnergyBudgetError):
-            energy(f31_2, [f31_2.decode(i) for i in range(1, 100)], pair_budget=10)
+            energy(f31_2, [f31_2.decode(i) for i in range(1, 100)])
 
 
 class TestFCount:
@@ -133,10 +143,10 @@ class TestRatioSet:
 
 
 class TestPairSweep:
-    """_pair_bincount, ratio_set and the pilot's lambda_1 table share one
+    """_pair_counts, ratio_set and the pilot's lambda_1 table share one
     chunked pair sweep; a small _CHUNK spreads the pairs over several chunks."""
 
-    def test_bincount_matches_pair_loop(self, f31_2, monkeypatch):
+    def test_pair_counts_matches_pair_loop(self, f31_2, monkeypatch):
         monkeypatch.setattr(energy_mod, "_CHUNK", 20)  # 2 left rows per chunk, 7 chunks
         rng = rng_for(0, 40)
         left = rng.integers(0, f31_2.q1, size=13)
@@ -147,7 +157,9 @@ class TestPairSweep:
             for a in left.tolist():
                 for b in right.tolist():
                     expected[(a + sign * b) % modulus] += 1
-            assert np.array_equal(energy_mod._pair_bincount(left, right, sign, modulus), expected)
+            keys, counts = energy_mod._pair_counts(left, right, sign, modulus)
+            assert np.array_equal(keys, np.flatnonzero(expected))
+            assert counts.dtype == np.int64 and np.array_equal(counts, expected[keys])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -178,10 +190,10 @@ class TestPairSweep:
         if with_zero:
             idx = np.concatenate([[0], idx])
         dlogs = ctx.dlog[idx[idx != 0]]
-        dense = energy_mod._pair_bincount(dlogs, dlogs, -1, ctx.q1)
+        dense = ratio_bincount_dense(dlogs, ctx.q1)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(energy_mod, "_CHUNK", chunk)
-            keys, counts, e = energy_mod._ratio_counts(ctx, idx)
+            keys, counts, _, e = energy_mod._pair_energy(ctx, idx, -1)
         assert np.array_equal(keys, np.flatnonzero(dense)) and np.array_equal(counts, dense[keys])
         assert counts.dtype == np.int64 and e == energy(ctx, idx).E
 
@@ -352,16 +364,26 @@ class TestTauProfile:
 
     def test_tau_of_accessor(self, f31_2, id_basis_31_2):
         ctx = f31_2
-        box = Box(id_basis_31_2, (0, 0), (2, 2))
         b0 = Box(id_basis_31_2, (-2, -2), (3, 3))
-        prof = tau_profile(box, b0)
-        b_elems = [e for _, e in box.elements()]
         b0_nonzero = [e for _, e in b0.elements() if any(e)]
         rng = rng_for(0, 20)
-        for _ in range(20):
-            u = ctx.decode(int(rng.integers(0, ctx.q)))
-            brute = sum(1 for x in b_elems for y in b0_nonzero if ctx.div(x, y) == u)
-            assert prof.tau_of(ctx, u) == brute
+        for offset in ((0, 0), (5, 5)):
+            box = Box(id_basis_31_2, offset, (2, 2))
+            prof = tau_profile(box, b0)
+            b_elems = [e for _, e in box.elements()]
+            us = [ctx.decode(int(rng.integers(0, ctx.q))) for _ in range(20)]
+            if offset == (5, 5):  # B misses B0: the first key is past dlog 0, the last before q - 2
+                keys = sorted({ctx.dlog_of(ctx.div(x, y)) for x in b_elems for y in b0_nonzero})
+                assert 0 < keys[0] - 1 and keys[-1] + 1 < ctx.q1 - 1
+                edges = [ctx.decode(int(ctx.exp[d])) for d in (0, keys[0] - 1, keys[-1] + 1, ctx.q1 - 1)]
+                assert all(prof.tau_of(ctx, u) == 0 for u in edges)
+                us += edges
+            for u in us:
+                brute = sum(1 for x in b_elems for y in b0_nonzero if ctx.div(x, y) == u)
+                assert prof.tau_of(ctx, u) == brute
+        only_zero = tau_profile(Box(id_basis_31_2, (-1, -1), (1, 1)), b0)  # B = {0}: no keys
+        assert only_zero.tau_zero == len(b0_nonzero)
+        assert only_zero.tau_of(ctx, ctx.one()) == 0 and only_zero.tau_of(ctx, b0_nonzero[0]) == 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -372,3 +394,22 @@ def test_energy_dilation_invariance_property(seeds, c_index):
     elems = [ctx.decode(i) for i in seeds]
     c = ctx.decode(c_index)
     assert energy(ctx, elems).E == energy(ctx, [ctx.mul(c, e) for e in elems]).E
+
+
+def test_pair_kernels_memory_at_field_budget():
+    # q = 4093^2 is near the 2^24 table budget, where one (q-1)-sized int64
+    # histogram is 134 MB; a 6x6 box has 36^2 pairs and its difference box
+    # 121^2, so the sorted-key kernels stay far below 8 MB
+    ctx = cached_field(4093, 2, seed=0)
+    box = Box(sample_basis(ctx, rng_for(0, 60)), (0, 0), (6, 6))
+    b0 = difference_box(box)
+    z = ctx.decode(12345)
+    for run in (lambda: energy(ctx, box), lambda: tau_profile(box, b0),
+                lambda: ratio_set(ctx, box), lambda: f_count(ctx, box, z)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20

@@ -11,6 +11,7 @@ from charbox import (
     is_generating,
     is_irreducible,
 )
+from charbox import field
 from oracles import inv_mod_p, min_poly_degree, seeded_basis
 
 
@@ -37,9 +38,10 @@ class TestBuildField:
         with pytest.raises(FieldError, match="odd"):
             build_field(2, 2)
 
-    def test_budget_rejected(self):
+    def test_budget_rejected(self, monkeypatch):
+        monkeypatch.setattr(field, "DEFAULT_TABLE_BUDGET", 1000)
         with pytest.raises(FieldError, match="budget"):
-            build_field(101, 3, table_budget=1000)
+            build_field(101, 3)
 
     def test_seeded_search_deterministic(self):
         a = build_field(7, 3, seed=5)

@@ -12,6 +12,7 @@ from charbox import (
     moment_sum,
     scaled_box,
 )
+from charbox import harness
 from charbox.sampling import rng_for, sample_basis
 from oracles import bad_tuple_count_bruteforce
 
@@ -77,9 +78,10 @@ class TestMomentSum:
         assert res.value <= res.bound + 1e-3
         assert res.good_count == 3**4 - 21 and res.bad_count == 21
 
-    def test_budget(self, f31_2):
+    def test_budget(self, f31_2, monkeypatch):
+        monkeypatch.setattr(harness, "MOMENT_BUDGET", 100)  # q |I| = 8649
         with pytest.raises(RegimeError, match="budget"):
-            moment_sum(Character(f31_2, 5), range(1, 10), 2, budget=100)
+            moment_sum(Character(f31_2, 5), range(1, 10), 2)
 
 
 class TestBurgessTrace:
