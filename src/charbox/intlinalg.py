@@ -2,12 +2,12 @@
 
 Fraction-free (Bareiss 1968) determinant and adjugate, which give basis
 inverses over F_p and polar lattices; the Hermite upper-triangular form that
-shell enumeration walks; the echelon independence test for minima witnesses.
+shell enumeration walks. The rank test that picks minima witnesses lives in
+`charbox.lattice` next to its only caller.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 
@@ -33,20 +33,6 @@ def _int_adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] |
         prev = ak[k]
     # the left block is now prev * I with prev = det of the row-swapped matrix
     return sign * prev, [[sign * v for v in r[m:]] for r in a]
-
-
-def _independent_add(echelon: list[list[int]], vec: Sequence[int]) -> bool:
-    """Fraction-free elimination; if vec is independent, add it and return True."""
-    v = list(map(int, vec))
-    for row in echelon:
-        c = next(i for i, x in enumerate(row) if x != 0)
-        if v[c] != 0:
-            v = [x * row[c] - y * v[c] for x, y in zip(v, row)]
-    if not any(v):
-        return False
-    g = math.gcd(*[abs(x) for x in v])
-    echelon.append([x // g for x in v])
-    return True
 
 
 def _hnf_upper(rows: Sequence[Sequence[int]]) -> list[list[int]] | None:

@@ -9,9 +9,12 @@ Minkowski certificate is a hard zero-tolerance assertion.
 Enumeration pipeline, integer arithmetic throughout: a fraction-free integral
 LLL on the integer-rescaled basis seeds the shell size, then a blocked numpy
 walk of the enumeration tree over a column-permuted Hermite triangular basis
-lists every lattice vector of the current shell; shells double until 2n
-independent vectors exist. Polar lattices come from the integer adjugate
-(`charbox.intlinalg`, like the Hermite form and the independence test).
+(the forms are computed once per lattice) lists every lattice vector of the
+current shell; shells double until 2n independent vectors exist. Witnesses
+are picked in at most 2n batched rounds, each a numpy rank test N v != 0
+against integer rows N spanning the complement of the witnesses so far.
+Polar lattices come from the integer adjugate (`charbox.intlinalg`, like the
+Hermite form).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .boxes import Box
 from .field import BasisMatrix, FieldCtx, FqElem
-from .intlinalg import _hnf_upper, _independent_add, _int_adjugate
+from .intlinalg import _hnf_upper, _int_adjugate
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -66,6 +69,13 @@ class IntLattice:
     @functools.cached_property
     def _adjugate(self) -> tuple[int, list[list[int]] | None]:
         return _int_adjugate(self.rows)
+
+    @functools.cached_property
+    def _hermite_forms(self) -> list[tuple[list[int], list[list[int]]]]:
+        """(column order, Hermite form of the column-permuted rows) for each
+        enumeration order; the rows are nonsingular, so every form exists."""
+        return [(order, _hnf_upper([[r[j] for j in order] for r in self.rows]))
+                for order in _column_orders(self.dim)]
 
     @property
     def covolume(self) -> Fraction:
@@ -364,15 +374,11 @@ def _column_orders(dim: int) -> list[list[int]]:
     return orders
 
 
-def _pick_hnf(rows: Sequence[Sequence[int]], bounds: list[int]) -> tuple[list[list[int]], list[int]]:
+def _pick_hnf(lattice: IntLattice, bounds: list[int]) -> tuple[list[list[int]], list[int]]:
     """Choose the column order whose triangular form promises the fewest
     enumeration nodes for the given per-coordinate bounds."""
     best = None
-    for order in _column_orders(len(rows)):
-        permuted = [[r[j] for j in order] for r in rows]
-        h = _hnf_upper(permuted)
-        if h is None:
-            continue
+    for order, h in lattice._hermite_forms:
         est = 1.0
         for lvl in range(len(h)):
             est *= max(1.0, (2 * bounds[order[lvl]]) / h[lvl][lvl] + 1.0)
@@ -380,8 +386,6 @@ def _pick_hnf(rows: Sequence[Sequence[int]], bounds: list[int]) -> tuple[list[li
                 break
         if best is None or est < best[0]:
             best = (est, h, order)
-    if best is None:
-        raise ValueError("lattice basis is singular")
     return best[1], best[2]
 
 
@@ -389,7 +393,7 @@ def _shell_vectors(
     lattice: IntLattice, body: GaugeBody, lam: Fraction, counter: _NodeCounter
 ) -> np.ndarray:
     bounds = body.coordinate_bounds(lam, lattice.denom)
-    hnf, order = _pick_hnf(lattice.rows, bounds)
+    hnf, order = _pick_hnf(lattice, bounds)
     w = body.coord_weights()
     l1_cap = body.l1_cap(lam, lattice.denom)
     l1_weights = tuple(w[j] for j in order) if l1_cap is not None else None
@@ -438,29 +442,68 @@ def successive_minima(
         shell = min(shell * 2, lam_max)
 
 
-def _greedy_minima(lattice: IntLattice, body: GaugeBody, vecs: np.ndarray):
-    """Sort enumerated vectors by (gauge, canonical order) and keep the first
-    linearly independent ones. Sign-normalizes vecs in place."""
+def _greedy_minima(lattice: IntLattice, body: GaugeBody, vecs: np.ndarray, limit: int | None = None):
+    """The first `limit` (default: the dimension) vectors in (gauge, canonical
+    order) that are independent of those before them. Sign-normalizes vecs
+    in place.
+
+    At most `limit` rounds: accept the least candidate left, then drop every
+    candidate in the span of the witnesses so far. The span test keeps
+    integer rows `null` spanning {u : W u = 0} for the witness rows W, so v
+    is outside the span iff null @ v != 0."""
     if len(vecs) == 0:
         return None
     m = lattice.dim
+    limit = m if limit is None else limit
     scale = body.gauge_scale(lattice.denom)
     terms = (np.abs(vecs[:, j]) * s for j, s in enumerate(body._stretch()))  # one column at a time
     keys = functools.reduce(np.maximum if body.kind == "box" else np.add, terms)
     first = np.argmax(vecs != 0, axis=1)  # canonical sign: first nonzero entry > 0
     vecs *= np.sign(vecs[np.arange(len(vecs)), first])[:, None]
-    order = np.lexsort(tuple(vecs[:, j] for j in reversed(range(m))) + (keys,))
+    vmax = max(int(vecs.max()), -int(vecs.min()))
+    null = [[int(i == j) for j in range(m)] for i in range(m)]
+    cand = np.arange(len(vecs))
     lams: list[Fraction] = []
     wits: list[tuple[int, ...]] = []
-    echelon: list[list[int]] = []
-    for i in order:
-        vec = tuple(int(x) for x in vecs[i])
-        if _independent_add(echelon, vec):
-            lams.append(Fraction(int(keys[i]), scale))
-            wits.append(vec)
-            if len(wits) == m:
-                break
+    while len(cand) and len(wits) < limit:
+        cand_keys = keys[cand]
+        tied = cand[cand_keys == cand_keys.min()]
+        for j in range(m):  # ties break by lexicographic vector order
+            col = vecs[tied, j]
+            tied = tied[col == col.min()]
+        wit = tuple(int(x) for x in vecs[tied[0]])
+        lams.append(Fraction(int(keys[tied[0]]), scale))
+        wits.append(wit)
+        if len(wits) < limit:
+            null = _null_cut(null, wit)
+            cand = cand[_outside_span(vecs, cand, null, vmax)]
     return lams, wits
+
+
+def _null_cut(null: list[list[int]], wit: tuple[int, ...]) -> list[list[int]]:
+    """Rows spanning {u in span(null) : u . wit = 0}, one fewer than null:
+    a fraction-free cut on the row with the least nonzero d_i = null_i . wit."""
+    d = [sum(a * b for a, b in zip(row, wit)) for row in null]
+    piv = min((i for i in range(len(d)) if d[i]), key=lambda i: abs(d[i]))
+    out = []
+    for i, row in enumerate(null):
+        if i != piv:
+            cut = [d[piv] * a - d[i] * b for a, b in zip(row, null[piv])]
+            g = math.gcd(*cut)
+            out.append([v // g for v in cut])
+    return out
+
+
+def _outside_span(vecs: np.ndarray, cand: np.ndarray, null: list[list[int]], vmax: int) -> np.ndarray:
+    """Mask of the candidates v with null @ v != 0, over _BLOCK-row slices;
+    Python ints when max_i |null_i|_1 * max|v| could overflow int64."""
+    top = max(sum(map(abs, row)) for row in null) * vmax
+    dtype = np.int64 if top < 2**63 else object
+    basis = np.array(null, dtype=dtype).T
+    return np.concatenate([
+        ((vecs[cand[s:s + _BLOCK]].astype(dtype, copy=False) @ basis) != 0).any(axis=1)
+        for s in range(0, len(cand), _BLOCK)
+    ])
 
 
 def first_minimum(
@@ -470,7 +513,7 @@ def first_minimum(
     counter = _NodeCounter(node_budget)
     lam_min, _ = _lll_seed_gauges(lattice, body)
     vecs = _shell_vectors(lattice, body, lam_min, counter)
-    picked = _greedy_minima(lattice, body, vecs)
+    picked = _greedy_minima(lattice, body, vecs, limit=1)
     assert picked is not None, "seed shell contains an LLL basis vector"
     return picked[0][0], picked[1][0]
 

@@ -223,3 +223,40 @@ def rank_mod_p(mat: np.ndarray, p: int) -> int:
                 a[r] = (a[r] - int(a[r, col]) * a[rank]) % p
         rank += 1
     return rank
+
+
+def _independent_add(echelon: list[list[int]], vec) -> bool:
+    """Fraction-free elimination; if vec is independent, add it and return True."""
+    v = list(map(int, vec))
+    for row in echelon:
+        c = next(i for i, x in enumerate(row) if x != 0)
+        if v[c] != 0:
+            v = [x * row[c] - y * v[c] for x, y in zip(v, row)]
+    if not any(v):
+        return False
+    g = math.gcd(*[abs(x) for x in v])
+    echelon.append([x // g for x in v])
+    return True
+
+
+def greedy_minima_scan(lattice, body, vecs: np.ndarray):
+    """The greedy minima by a full (gauge, lexicographic) sort of the shell and
+    one echelon independence test per candidate. Sign-normalizes vecs in place."""
+    if len(vecs) == 0:
+        return None
+    m = lattice.dim
+    scale = body.gauge_scale(lattice.denom)
+    keys = np.array([body.gauge_key(v, lattice.denom) for v in vecs.tolist()], dtype=np.int64)
+    first = np.argmax(vecs != 0, axis=1)  # canonical sign: first nonzero entry > 0
+    vecs *= np.sign(vecs[np.arange(len(vecs)), first])[:, None]
+    order = np.lexsort(tuple(vecs[:, j] for j in reversed(range(m))) + (keys,))
+    lams, wits = [], []
+    echelon: list[list[int]] = []
+    for i in order:
+        vec = tuple(int(x) for x in vecs[i])
+        if _independent_add(echelon, vec):
+            lams.append(Fraction(int(keys[i]), scale))
+            wits.append(vec)
+            if len(wits) == m:
+                break
+    return lams, wits

@@ -21,6 +21,13 @@ def test_minima_json_matches_golden(capsys, args, golden):
     assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
 
 
+def test_rank_deficient_minima_matches_golden(capsys):
+    # five minima at most 6/5 under lambda_6 = 34/5: the last shell holds
+    # 133,686 vectors, nearly all in the span of the first five witnesses
+    assert main(["minima", "--p", "101", "--n", "3", "--box", "0:5,0:5,0:5", "--z-index", "552646"]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / "minima_p101_n3_z552646.json").read_bytes()
+
+
 @pytest.mark.parametrize(
     "p, n, seed, basis_seed",
     [(31, 3, 0, 7), (101, 2, 1, 1), (7, 3, 5, 2), (13, 1, 0, 1), (4093, 2, 0, 3), (251, 3, 4, 6)],

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from charbox import (
     EnumerationBudgetError,
+    GaugeBody,
     IntLattice,
     cached_field,
     gamma_z,
@@ -27,6 +28,7 @@ from charbox import (
 )
 from charbox import intlinalg, lattice
 from charbox.sampling import rng_for, sample_basis, sample_z, small_edge_cap
+from oracles import greedy_minima_scan
 
 # ---------------------------------------------------------------------------
 # reference algorithms (rational arithmetic)
@@ -300,7 +302,7 @@ class TestIntegerAdjugate:
 
 def shell_inputs(lat, body, lam):
     bounds = body.coordinate_bounds(lam, lat.denom)
-    hnf, order = lattice._pick_hnf(lat.rows, bounds)
+    hnf, order = lattice._pick_hnf(lat, bounds)
     w = body.coord_weights()
     l1_cap = body.l1_cap(lam, lat.denom)
     l1_weights = tuple(w[j] for j in order) if l1_cap is not None else None
@@ -371,6 +373,73 @@ class TestBlockedEnumeration:
         # DEFAULT_NODE_BUDGET, still well inside int64
         hnf = [[1, 0, 0, 4092], [0, 1, 0, 4000], [0, 0, 4093, 0], [0, 0, 0, 4093]]
         lattice._check_int64_range(hnf, [10**7] * 4, (1, 1, 4093, 4093), 10**7)
+
+
+# ---------------------------------------------------------------------------
+# greedy witnesses: batched rank tests against the per-candidate scan
+
+
+def assert_same_picks(lat, body, vecs):
+    """Full greedy and its limit-1 path equal the scan oracle, and both sign-
+    normalize the shell the same way."""
+    ref_vecs = vecs.copy()
+    ref = greedy_minima_scan(lat, body, ref_vecs)
+    got_vecs = vecs.copy()
+    assert lattice._greedy_minima(lat, body, got_vecs) == ref
+    assert np.array_equal(got_vecs, ref_vecs)
+    first = lattice._greedy_minima(lat, body, vecs.copy(), limit=1)
+    assert first == (None if ref is None else (ref[0][:1], ref[1][:1]))
+
+
+@st.composite
+def deficient_shells(draw, top=3):
+    """Many vectors in a random rank-k sublattice (k < m), a few outside it,
+    v next to -v and small weights, so gauge keys tie often. Entries of the
+    outside vectors reach `top`."""
+    n = draw(st.integers(1, 3))
+    m = 2 * n
+    k = draw(st.integers(1, m - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    span = rng.integers(-3, 4, size=(k, m)) * rng.integers(1, max(2, top // 2**12), size=(k, 1))
+    inside = rng.integers(-2, 3, size=(draw(st.integers(20, 400)), k)) @ span
+    outside = rng.integers(-top, top + 1, size=(draw(st.integers(0, 4)), m))
+    vecs = np.concatenate([inside, -inside[:20], outside])
+    vecs = vecs[vecs.any(axis=1)]  # shells hold nonzero vectors only
+    rng.shuffle(vecs)
+    body = GaugeBody(draw(st.sampled_from(("box", "polar"))), tuple(draw(st.lists(
+        st.integers(1, 3), min_size=n, max_size=n))))
+    lat = IntLattice(tuple(tuple(int(i == j) for j in range(m)) for i in range(m)), draw(st.integers(1, 3)))
+    return lat, body, vecs
+
+
+class TestGreedyMinima:
+    @KERNEL_SETTINGS
+    @given(gamma_cases())
+    def test_gamma_shells_equal_scan(self, case):
+        for lat, body in bodies(*case):
+            lam_min, lam_max = lattice._lll_seed_gauges(lat, body)
+            for lam in (lam_min, 2 * lam_min, lam_max):
+                try:
+                    vecs = lattice._shell_vectors(lat, body, lam, lattice._NodeCounter(400_000))
+                except EnumerationBudgetError:
+                    continue
+                assert_same_picks(lat, body, vecs)
+
+    @KERNEL_SETTINGS
+    @given(deficient_shells())
+    def test_rank_deficient_shells_equal_scan(self, case):
+        assert_same_picks(*case)
+
+    @KERNEL_SETTINGS
+    @given(deficient_shells(top=2**40))
+    def test_oversized_entries_equal_scan(self, case):
+        assert_same_picks(*case)
+
+    def test_span_test_leaves_int64_when_products_could_wrap(self):
+        vecs = np.array([[2**32, 2**32]], dtype=np.int64)
+        null = [[2**31, 2**31]]  # null . v = 2^64, which is 0 in int64
+        assert not (vecs @ np.array(null, dtype=np.int64).T).any()
+        assert lattice._outside_span(vecs, np.arange(1), null, 2**32).tolist() == [True]
 
 
 # ---------------------------------------------------------------------------
