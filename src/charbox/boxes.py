@@ -3,11 +3,14 @@
 A box is a basis plus integer offsets N_i and edges H_i; its elements are
 sum_i x_i omega_i with N_i + 1 <= x_i <= N_i + H_i. Offsets are arbitrary
 integers; reduction mod p happens at element construction. An edge is
-small when H < sqrt(p/2), tested exactly as H <= small_edge_cap(p).
+small when H < sqrt(p/2), tested exactly as H <= small_edge_cap(p). Box and
+basis are immutable, so each Box computes its encoded elements once and
+hands out that one read-only array.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,6 +26,23 @@ _SCAN_BUDGET = 2**22  # most outer pairs (x_1, x_2) that degenerate_pair_set sca
 
 class BoxError(ValueError):
     pass
+
+
+def _sorted_distinct(x: np.ndarray) -> np.ndarray:
+    """np.unique(x) by one sort and an adjacent-difference mask (np.unique
+    hashes integer input, several times slower than a sort)."""
+    s = np.sort(x, axis=None)
+    keep = np.ones(s.shape, dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
+def _lex_grid(N: tuple[int, ...], H: tuple[int, ...]) -> np.ndarray:
+    """Coordinate vectors of ranges N_i + 1 .. N_i + H_i, shape (prod H, len H),
+    lexicographic order."""
+    axes = [np.arange(nn + 1, nn + hh + 1, dtype=np.int64) for nn, hh in zip(N, H)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 def small_edge_cap(p: int) -> int:
@@ -70,14 +90,19 @@ class Box:
 
     def coords_grid(self) -> np.ndarray:
         """All coordinate vectors, shape (size, n), lexicographic order."""
-        axes = [np.arange(nn + 1, nn + hh + 1, dtype=np.int64) for nn, hh in zip(self.N, self.H)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        return _lex_grid(self.N, self.H)
 
     def element_indices(self) -> np.ndarray:
-        """Encoded field elements in lexicographic coordinate order."""
+        """Encoded field elements in lexicographic coordinate order; the same
+        read-only array on every call."""
+        return self._element_indices
+
+    @functools.cached_property
+    def _element_indices(self) -> np.ndarray:
         coords = self.coords_grid() % self.ctx.p
-        return self.ctx.encode_array((coords @ self.basis.cols.T) % self.ctx.p)
+        idx = self.ctx.encode_array((coords @ self.basis.cols.T) % self.ctx.p)
+        idx.setflags(write=False)
+        return idx
 
     def elements(self) -> Iterator[tuple[tuple[int, ...], FqElem]]:
         """Stream of (coords, element), lexicographic in box coordinates."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import Box
+from .boxes import Box, _lex_grid
 from .field import FieldCtx, FqElem, is_generating
 
 _TABLE_CACHE_LIMIT = 0  # no field gets a q-sized chi table; values are computed on demand
@@ -205,18 +205,25 @@ def tall_box_identity(chi: Character, box: Box) -> TallBoxSplit:
     inner sums over the last coordinate at shifted generators. The two agree
     up to roundoff for every box.
     """
-    ctx = box.ctx
-    n = ctx.n
-    if n < 2:
+    if box.ctx.n < 2:
         raise ValueError("tall box split needs n >= 2")
     lhs = box_char_sum(chi, box)
+    rhs, inner_abs, outer = _tall_box_rhs(chi, box)
+    return TallBoxSplit(lhs, rhs, inner_abs, outer, float(inner_abs.max(initial=0.0)))
 
+
+def _tall_box_rhs(chi: Character, box: Box) -> tuple[complex, np.ndarray, np.ndarray]:
+    """(rhs, |inner sum| per outer row, outer coordinate rows) of the tall-box
+    split; the outer rows are the lexicographic grid of the first n - 1 axes,
+    so B itself is never enumerated here."""
+    ctx = box.ctx
+    n = ctx.n
     w_n = box.basis.omega(n)
     w_inv = ctx.inv(w_n)
     ratios = [ctx.mul(box.basis.omega(i + 1), w_inv) for i in range(n - 1)]
     ratio_mat = np.array(ratios, dtype=np.int64)  # (n-1, n) power-basis rows
 
-    outer = box.coords_grid()[:: box.H[n - 1], : n - 1]
+    outer = _lex_grid(box.N[: n - 1], box.H[: n - 1])
     base_coeffs = (outer % ctx.p) @ ratio_mat % ctx.p
     base_idx = ctx.encode_array(base_coeffs)
 
@@ -224,6 +231,5 @@ def tall_box_identity(chi: Character, box: Box) -> TallBoxSplit:
     inner_idx = ctx.add_int_array(base_idx[:, None], ts)
     inner_vals = chi.values_at(inner_idx.ravel()).reshape(inner_idx.shape)
     inner = inner_vals.sum(axis=1)
-    inner_abs = np.abs(inner)
     rhs = chi.value(w_n) * _fsum_complex(inner)
-    return TallBoxSplit(lhs, rhs, inner_abs, outer, float(inner_abs.max(initial=0.0)))
+    return rhs, np.abs(inner), outer

@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .boxes import Box, difference_box, small_edge_cap
+from .boxes import Box, _sorted_distinct, difference_box, small_edge_cap
 from .field import FieldCtx, FqElem
 
 PAIR_BUDGET = 2**28
@@ -35,7 +35,7 @@ def _as_indices(ctx: FieldCtx, elements: Iterable[FqElem] | Box | np.ndarray) ->
         idx = elements.astype(np.int64)
     else:
         idx = np.array([ctx.encode(e) for e in elements], dtype=np.int64)
-    return np.unique(idx)
+    return _sorted_distinct(idx)
 
 
 def _pair_chunks(left_dlogs: np.ndarray, right_dlogs: np.ndarray, sign: int, modulus: int):
@@ -224,8 +224,8 @@ def s_decomposition(box: Box) -> RatioProfile:
     hypothesis_ok = all(h <= small_edge_cap(p) for h in box.H)
     b0 = difference_box(box)
 
-    idx_b = np.unique(box.element_indices())
-    idx_b0 = np.unique(b0.element_indices())
+    idx_b = _sorted_distinct(box.element_indices())
+    idx_b0 = _sorted_distinct(b0.element_indices())
     if len(idx_b0) ** 2 > PAIR_BUDGET:
         raise EnergyBudgetError("difference box pair count exceeds budget")
     zero_in_b = bool((idx_b == 0).any())
@@ -296,8 +296,8 @@ def tau_profile(box: Box, box0: Box) -> TauProfile:
     sum tau = |B| (|B0| - 1), tau(0) <= |B0|, and the Cauchy-Schwarz bound
     (sum_{u != 0} tau^2)^2 <= E(B) E(B0) compared in integers."""
     ctx = box.ctx
-    idx_b = np.unique(box.element_indices())
-    idx_b0 = np.unique(box0.element_indices())
+    idx_b = _sorted_distinct(box.element_indices())
+    idx_b0 = _sorted_distinct(box0.element_indices())
     if len(idx_b) * len(idx_b0) > PAIR_BUDGET:
         raise EnergyBudgetError("cross pair count exceeds budget")
     zero_in_b = bool((idx_b == 0).any())

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from charbox import (
     BasisMatrix,
@@ -18,6 +18,7 @@ from charbox import (
     scaled_box,
     subdivide_box,
 )
+from charbox.boxes import _sorted_distinct
 from charbox.sampling import rng_for, sample_basis, small_edge_cap
 from oracles import omega_line_count_bruteforce, seeded_basis
 
@@ -30,6 +31,13 @@ class TestEnumeration:
         coords, elem = elems[0]
         assert coords == (5, -6)
         assert elem == f31_2.elem([5, -6])
+
+    def test_indices_computed_once_and_read_only(self, f25):
+        box = Box(seeded_basis(f25, 1), (0, 1), (2, 3))
+        idx = box.element_indices()
+        assert box.element_indices() is idx
+        with pytest.raises(ValueError):
+            idx[0] = 0
 
     def test_six_distinct_elements(self, f25):
         box = Box(seeded_basis(f25, 1), (0, 1), (2, 3))
@@ -284,3 +292,17 @@ def test_enumeration_distinct_and_normalize_invariant(offsets, edges):
     idx = box.element_indices()
     assert len(np.unique(idx)) == box.size
     assert sorted(idx.tolist()) == sorted(box.normalize().element_indices().tolist())
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.one_of(
+    st.lists(st.integers(0, 2**24), max_size=300),
+    st.builds(lambda v, k: [v] * k, st.integers(0, 2**24), st.integers(1, 50)),
+))
+@example(values=[])
+@example(values=[2**24])
+@example(values=[7] * 9)
+def test_sorted_distinct_matches_unique(values):
+    x = np.array(values, dtype=np.int64)
+    got, want = _sorted_distinct(x), np.unique(x)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()

@@ -78,3 +78,14 @@ def test_input_errors_exit_2(capsys, argv, message):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_n3_survey_matches_golden(capsys, workers):
+    # twelve n = 3 rows over the direct, subdivided and tall routes, the tall
+    # ones with the degenerate-set check, byte for byte at either worker count
+    argv = ["survey", "--p", "61,101", "--n", "3", "--box=0:5,3:6,-7:4", "--box=1:15,2:12,-3:18",
+            "--box=4:6,-2:7,10:60", "--random-chars", "2", "--seed", "7", "--basis-seed", "3",
+            "--workers", workers]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / "survey_p61_101_n3_seed7.csv").read_bytes()

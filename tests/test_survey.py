@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import math
@@ -7,12 +8,14 @@ import signal
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from charbox import ExperimentConfig, cached_field, run_config, theorem_survey
 from charbox import field
 from charbox import survey as survey_mod
-from charbox.boxes import format_box_spec, small_edge_cap
+from charbox.boxes import Box, format_box_spec, small_edge_cap
+from charbox.characters import tall_box_identity
 from charbox.survey import ConfigError, render_csv, render_json, write_report, CSV_HEADERS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "sample_survey.csv"
@@ -153,6 +156,55 @@ class TestSurvey:
         cfg = ExperimentConfig(p_list=[31], n=2, boxes=["0:2,0:2"], char_indices=[3])
         text = render_csv(theorem_survey(cfg))
         assert "\r" not in text
+
+
+# p = 101, n = 3: one direct, one subdivided and one tall box
+ROUTE_GRID = dict(p_list=[101], n=3, boxes=["0:5,3:6,-7:4", "1:15,2:12,-3:18", "4:6,-2:7,10:60"],
+                  char_indices=[5], seed=7, basis_seed=3)
+
+
+class TestOneEnumeration:
+    def test_each_box_enumerated_at_most_once(self, monkeypatch):
+        calls = collections.Counter()  # Box object -> coords_grid calls
+        real_grid = Box.coords_grid
+
+        def counted_grid(box):
+            calls[box] += 1
+            return real_grid(box)
+
+        monkeypatch.setattr(Box, "coords_grid", counted_grid)
+        for spec, route in zip(ROUTE_GRID["boxes"], ("direct", "subdivided", "tall")):
+            calls.clear()
+            report = theorem_survey(ExperimentConfig(**{**ROUTE_GRID, "boxes": [spec]}))
+            assert [r["route"] for r in report.rows] == [route] and report.all_ok
+            assert calls and max(calls.values()) == 1, route
+            # the subdivided row enumerates the box and each of its pieces
+            assert (len(calls) > 1) == (route == "subdivided")
+
+    def test_tall_flag_compares_the_public_split(self, monkeypatch):
+        seen = {}
+        real_sum, real_rhs = survey_mod.box_char_sum, survey_mod._tall_box_rhs
+
+        def recording_sum(chi, box):
+            seen["chi"], seen["box"] = chi, box
+            seen["lhs"] = real_sum(chi, box)
+            return seen["lhs"]
+
+        def recording_rhs(chi, box):
+            res = real_rhs(chi, box)
+            seen["rhs"] = res[0]
+            return res
+
+        monkeypatch.setattr(survey_mod, "box_char_sum", recording_sum)
+        monkeypatch.setattr(survey_mod, "_tall_box_rhs", recording_rhs)
+        cfg = ExperimentConfig(**{**ROUTE_GRID, "boxes": ROUTE_GRID["boxes"][2:]})
+        (row,) = theorem_survey(cfg).rows
+        assert row["route"] == "tall" and "tall_identity=P" in row["pass_flags"]
+        box = seen["box"]
+        split = tall_box_identity(seen["chi"], Box(box.basis, box.N, box.H))
+        bits = lambda z: np.complex128(z).tobytes()
+        assert bits(split.lhs) == bits(seen["lhs"]) == bits(complex(row["sum_re"], row["sum_im"]))
+        assert bits(split.rhs) == bits(seen["rhs"])
 
 
 class TestCli:
