@@ -160,12 +160,9 @@ class GaugeBody:
         return Fraction(self.gauge_key(vec, denom), self.gauge_scale(denom))
 
     def coordinate_bounds(self, lam: Fraction, denom: int) -> list[int]:
-        """Largest |v_j| compatible with gauge <= lam."""
-        w = self.coord_weights()
-        if self.kind == "box":
-            return [int(lam * denom * wi) for wi in w]
-        cap = int(lam * denom)
-        return [cap // wi for wi in w]
+        """Largest |v_j| compatible with gauge <= lam: |v_j| s_j <= floor(lam L)."""
+        cap = int(lam * self.gauge_scale(denom))
+        return [cap // s for s in self._stretch()]
 
     def l1_cap(self, lam: Fraction, denom: int) -> int | None:
         if self.kind == "polar":

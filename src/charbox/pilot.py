@@ -28,6 +28,8 @@ from .sampling import rng_for, sample_basis, sample_box, sample_character
 DEFAULT_PILOT_SEED = 20260801
 DEFAULT_FIXTURES_PATH = os.path.join("fixtures", "fixtures.json")
 PILOT_GRID = {"p": [31, 61, 101], "n": [2, 3]}
+BOXES_PER_CELL = 6
+Z_PER_BOX = 3
 C_EST_PRIMES = [31, 61]
 
 
@@ -85,9 +87,7 @@ def _prime_interval_scan(chi: Character, omega_n) -> float:
     return float(scan.max() / (math.sqrt(ctx.p) * math.log(ctx.p)))
 
 
-def pilot_fixtures(
-    seed: int = DEFAULT_PILOT_SEED, boxes_per_cell: int = 6, z_per_box: int = 3
-) -> dict:
+def pilot_fixtures(seed: int = DEFAULT_PILOT_SEED) -> dict:
     """Measure every fixture over the standard seeded grid."""
     k_e = 0.0
     k_2 = 0.0
@@ -103,7 +103,7 @@ def pilot_fixtures(
         for p in PILOT_GRID["p"]:
             ctx = cached_field(p, n, seed=0)
             log_p = math.log(p)
-            for bi in range(boxes_per_cell):
+            for bi in range(BOXES_PER_CELL):
                 rng = rng_for(seed, p, n, bi)
                 basis = sample_basis(ctx, rng)
                 box = sample_box(basis, rng, regime="small").normalize()
@@ -126,7 +126,7 @@ def pilot_fixtures(
                 b0 = difference_box(box)
                 b0_idx = b0.element_indices()
                 nz = b0_idx[b0_idx != 0]
-                for zi in range(z_per_box):
+                for zi in range(Z_PER_BOX):
                     zrng = rng_for(seed, p, n, bi, zi, 5)
                     for _ in range(64):
                         x_idx, y_idx = (int(v) for v in zrng.integers(0, len(nz), size=2))
@@ -156,10 +156,7 @@ def pilot_fixtures(
             for ci in range(4):
                 rng = rng_for(seed, p, n, ci, 17)
                 basis = sample_basis(ctx, rng)
-                while True:
-                    chi = sample_character(ctx, rng)
-                    if not chi.is_trivial_on_prime_subfield():
-                        break
+                chi = sample_character(ctx, rng, trivial_on_prime_subfield=False)
                 pv_max = max(pv_max, _prime_interval_scan(chi, basis.omega(n)))
 
     for n in PILOT_GRID["n"]:
@@ -180,7 +177,7 @@ def pilot_fixtures(
     return {
         "version": 1,
         "seed": seed,
-        "grid": {**PILOT_GRID, "boxes_per_cell": boxes_per_cell, "z_per_box": z_per_box},
+        "grid": {**PILOT_GRID, "boxes_per_cell": BOXES_PER_CELL, "z_per_box": Z_PER_BOX},
         "K_E": k_e,
         "K_2": k_2,
         "K_c": k_c,

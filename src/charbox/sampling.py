@@ -61,18 +61,16 @@ def sample_box(basis: BasisMatrix, rng: np.random.Generator, regime: str = "smal
     return Box(basis, offsets, edges)
 
 
-def sample_character(ctx: FieldCtx, rng: np.random.Generator, nontrivial: bool = True,
+def sample_character(ctx: FieldCtx, rng: np.random.Generator,
                      trivial_on_prime_subfield: bool | None = None) -> Character:
-    lo = 1 if nontrivial else 0
+    """A nontrivial character: k is drawn from [1, q - 1)."""
     while True:
         if trivial_on_prime_subfield:
             # multiples of p-1 restrict trivially to F_p^*
             k = (ctx.p - 1) * int(rng.integers(1, ctx.q1 // (ctx.p - 1)))
         else:
-            k = int(rng.integers(lo, ctx.q1))
+            k = int(rng.integers(1, ctx.q1))
         chi = Character(ctx, k)
-        if nontrivial and chi.is_trivial:
-            continue
         if trivial_on_prime_subfield is False and chi.is_trivial_on_prime_subfield():
             continue
         return chi

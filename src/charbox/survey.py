@@ -98,8 +98,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         cfg = cls(**data)
@@ -223,18 +222,13 @@ class SurveyReport:
 
 
 def _build_tasks(cfg: ExperimentConfig) -> list[dict]:
+    # None marks a seeded random box or character
+    box_specs = cfg.boxes if cfg.boxes is not None else [None] * cfg.random_boxes
+    char_ks = cfg.char_indices if cfg.char_indices is not None else [None] * cfg.random_chars
     tasks = []
     for p_index, p in enumerate(cfg.p_list):
-        if cfg.boxes is not None:
-            box_slots = [(i, spec) for i, spec in enumerate(cfg.boxes)]
-        else:
-            box_slots = [(i, None) for i in range(cfg.random_boxes)]
-        for box_index, box_spec in box_slots:
-            if cfg.char_indices is not None:
-                char_slots = [(i, k) for i, k in enumerate(cfg.char_indices)]
-            else:
-                char_slots = [(i, None) for i in range(cfg.random_chars)]
-            for char_slot, char_index in char_slots:
+        for box_index, box_spec in enumerate(box_specs):
+            for char_slot, char_index in enumerate(char_ks):
                 tasks.append(
                     {
                         "p": p,
@@ -360,28 +354,24 @@ def render_json(report: SurveyReport) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def write_report(report: SurveyReport, out: str | None) -> str:
+def emit_report(report: SurveyReport, out: str | None) -> int:
+    """Write the report to `out` or stdout, print `error row <i>: <message>` on
+    stderr per error row (i in grid order; the report keeps only the exception
+    type), and return the exit code: 0 iff every hard check passed."""
     text = render_csv(report) if report.config.format == "csv" else render_json(report)
     if out:
         os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    return text
-
-
-def print_error_rows(report: SurveyReport) -> None:
-    """One `error row <i>: <message>` line on stderr per error row, i its index
-    in grid order. Reports carry only the exception type, so their bytes do not
-    depend on the message."""
+    else:
+        sys.stdout.write(text)
     for i, row in enumerate(report.rows):
         if "_error" in row:
             print(f"error row {i}: {row['_error']}", file=sys.stderr)
+    return 0 if report.all_ok else 1
 
 
 def run_config(path: str, out_override: str | None = None) -> int:
     """Execute a config file; exit code 0 iff every hard check passed."""
     cfg = ExperimentConfig.from_file(path)
-    report = theorem_survey(cfg)
-    write_report(report, out_override or cfg.out)
-    print_error_rows(report)
-    return 0 if report.all_ok else 1
+    return emit_report(theorem_survey(cfg), out_override or cfg.out)

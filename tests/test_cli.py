@@ -1,11 +1,26 @@
 import pathlib
+import re
 
 import pytest
 
 from charbox.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+CONFIG = pathlib.Path(__file__).parent.parent / "configs" / "sample_survey.json"
 BOX = ["minima", "--p", "31", "--n", "3", "--box", "0:3,0:3,0:2"]
+FIELD_FLAGS = ["--p", "--n", "--modulus", "--basis-seed", "--seed"]
+COMMAND_FLAGS = {
+    "field": FIELD_FLAGS,
+    "charsum": FIELD_FLAGS + ["--box", "--char-index"],
+    "energy": FIELD_FLAGS + ["--box"],
+    "minima": FIELD_FLAGS + ["--box", "--z-index", "--z-sweep", "--budget"],
+    "burgess": FIELD_FLAGS + ["--box", "--char-index", "--epsilon"],
+    "moments": FIELD_FLAGS + ["--char-index", "--interval-len", "--r"],
+    "survey": ["--p", "--n", "--epsilon", "--basis-seed", "--box", "--random-boxes", "--box-regime",
+               "--char-index", "--random-chars", "--seed", "--workers", "--out", "--format"],
+    "pilot": ["--seed", "--out"],
+    "run": ["--out"],
+}
 
 
 @pytest.mark.parametrize(
@@ -52,6 +67,9 @@ def test_field_json_matches_golden(capsys, p, n, seed, basis_seed):
         # an interval longer than p wraps every row of the moment sum
         (["moments", "--p", "31", "--n", "3", "--char-index", "77", "--interval-len", "45", "--r", "2"],
          "moments_p31_n3_k77_len45_r2.json"),
+        # one box character sum over an n = 3 box
+        (["charsum", "--p", "31", "--n", "3", "--box", "0:3,0:4,0:2", "--char-index", "77"],
+         "charsum_p31_n3_k77.json"),
     ],
 )
 def test_amplify_json_matches_golden(capsys, argv, golden):
@@ -69,6 +87,10 @@ def test_amplify_json_matches_golden(capsys, argv, golden):
         (["charsum", "--p", "31", "--box", "0:40,0:3", "--char-index", "3"], "1 <= H_i <= p"),
         (["field", "--p", "33"], "p = 33 is not prime"),
         (BOX + ["--z-index", "777", "--budget", "1"], "enumeration exceeded 1 nodes"),
+        (["survey", "--p", "31,x", "--n", "2", "--random-boxes", "1"],
+         "--p takes comma-separated integers, got '31,x'"),
+        (["field", "--p", "31", "--modulus", "1,x,1"],
+         "--modulus takes comma-separated integers, got '1,x,1'"),
     ],
 )
 def test_input_errors_exit_2(capsys, argv, message):
@@ -89,3 +111,19 @@ def test_n3_survey_matches_golden(capsys, workers):
             "--workers", workers]
     assert main(argv) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / "survey_p61_101_n3_seed7.csv").read_bytes()
+
+
+def test_run_without_out_prints_report(capsys):
+    # a config with no `out` prints its report on stdout, as `charbox survey` does
+    assert main(["run", str(CONFIG)]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / "sample_survey.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_help_lists_every_flag(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert set(re.findall(r"--[\w-]+", out)) == {"--help", *COMMAND_FLAGS[command]}
+    assert command != "run" or "config" in out.splitlines()[0]

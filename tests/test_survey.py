@@ -16,7 +16,7 @@ from charbox import field
 from charbox import survey as survey_mod
 from charbox.boxes import Box, format_box_spec, small_edge_cap
 from charbox.characters import tall_box_identity
-from charbox.survey import ConfigError, render_csv, render_json, write_report, CSV_HEADERS
+from charbox.survey import ConfigError, render_csv, render_json, emit_report, CSV_HEADERS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "sample_survey.csv"
 CONFIG = pathlib.Path(__file__).parent.parent / "configs" / "sample_survey.json"
@@ -146,11 +146,10 @@ class TestSurvey:
             format="json", out=str(tmp_path / "r.json"),
         )
         report = theorem_survey(cfg)
-        text = write_report(report, cfg.out)
-        data = json.loads(text)
+        assert emit_report(report, cfg.out) == 0
+        data = json.loads((tmp_path / "r.json").read_text())
         assert data["rows"][0]["route"] == "direct"
-        assert (tmp_path / "r.json").exists()
-        assert json.loads((tmp_path / "r.json").read_text()) == data
+        assert data["rows"] == json.loads(render_json(report))["rows"]
 
     def test_csv_has_lf_endings(self):
         cfg = ExperimentConfig(p_list=[31], n=2, boxes=["0:2,0:2"], char_indices=[3])
