@@ -72,6 +72,10 @@ def _energy(args, ctx, basis, box, chi) -> tuple:
 
 
 def _minima(args, ctx, basis, box, chi) -> tuple:
+    if args.z_index is None and args.z_sweep < 1:
+        raise ConfigError("minima needs --z-index or --z-sweep >= 1")
+    if args.z_index is not None and not 0 <= args.z_index < ctx.q:
+        raise ConfigError(f"--z-index must lie in [0, q) = [0, {ctx.q}), got {args.z_index}")
     outputs = []
     if args.z_index is not None:
         res = minima_for_z(box, ctx.decode(args.z_index), args.budget)

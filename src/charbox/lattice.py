@@ -8,11 +8,12 @@ Minkowski certificate is a hard zero-tolerance assertion.
 
 Enumeration pipeline, integer arithmetic throughout: a fraction-free integral
 LLL on the integer-rescaled basis seeds the shell size, then a blocked numpy
-walk of the enumeration tree over a column-permuted Hermite triangular basis
-(the forms are computed once per lattice) lists every lattice vector of the
-current shell; shells double until 2n independent vectors exist. Witnesses
-are picked in at most 2n batched rounds, each a numpy rank test N v != 0
-against integer rows N spanning the complement of the witnesses so far.
+walk of the enumeration tree over the Hermite triangular basis (computed
+once per lattice, in the lattice's own coordinate order) lists every lattice
+vector of the current shell; shells double until 2n independent vectors
+exist. Witnesses are picked in at most 2n batched rounds, each a numpy rank
+test N v != 0 against integer rows N spanning the complement of the
+witnesses so far.
 Polar lattices come from the integer adjugate (`charbox.intlinalg`, like the
 Hermite form).
 """
@@ -71,11 +72,10 @@ class IntLattice:
         return _int_adjugate(self.rows)
 
     @functools.cached_property
-    def _hermite_forms(self) -> list[tuple[list[int], list[list[int]]]]:
-        """(column order, Hermite form of the column-permuted rows) for each
-        enumeration order; the rows are nonsingular, so every form exists."""
-        return [(order, _hnf_upper([[r[j] for j in order] for r in self.rows]))
-                for order in _column_orders(self.dim)]
+    def _hermite_form(self) -> list[list[int]]:
+        """Hermite form of the rows, the basis every shell enumeration walks;
+        the rows are nonsingular, so it exists."""
+        return _hnf_upper(self.rows)
 
     @property
     def covolume(self) -> Fraction:
@@ -260,11 +260,9 @@ def _enumerate_shell(
     l1_weights: tuple[int, ...] | None,
     l1_cap: int | None,
     counter: _NodeCounter,
-    cols=slice(None),
 ) -> np.ndarray:
     """All nonzero lattice vectors v = c @ hnf with |v_j| <= bounds[j]
-    (and the l1 cap, when given); column k of the result is hnf coordinate
-    cols[k].
+    (and the l1 cap, when given).
 
     Level i fixes coefficient c_i, which fixes coordinate i. The tree is
     walked depth first over blocks of partial vectors (acc, running l1 sum):
@@ -311,7 +309,7 @@ def _enumerate_shell(
             stack.append(children(len(stack), *block))
         else:
             vecs = block[0]
-            out.append(vecs[vecs.any(axis=1)][:, cols].astype(narrow))
+            out.append(vecs[vecs.any(axis=1)].astype(narrow))
     return np.concatenate(out, dtype=np.int64)  # the zero vector's leaf always exists
 
 
@@ -362,40 +360,13 @@ class MinimaResult:
         return lo <= mid <= hi
 
 
-def _column_orders(dim: int) -> list[list[int]]:
-    half = dim // 2
-    orders = [list(range(dim))]
-    if dim % 2 == 0 and half >= 1:
-        orders.append(list(range(half, dim)) + list(range(half)))
-    orders.append(list(reversed(range(dim))))
-    return orders
-
-
-def _pick_hnf(lattice: IntLattice, bounds: list[int]) -> tuple[list[list[int]], list[int]]:
-    """Choose the column order whose triangular form promises the fewest
-    enumeration nodes for the given per-coordinate bounds."""
-    best = None
-    for order, h in lattice._hermite_forms:
-        est = 1.0
-        for lvl in range(len(h)):
-            est *= max(1.0, (2 * bounds[order[lvl]]) / h[lvl][lvl] + 1.0)
-            if best is not None and est >= best[0]:
-                break
-        if best is None or est < best[0]:
-            best = (est, h, order)
-    return best[1], best[2]
-
-
 def _shell_vectors(
     lattice: IntLattice, body: GaugeBody, lam: Fraction, counter: _NodeCounter
 ) -> np.ndarray:
-    bounds = body.coordinate_bounds(lam, lattice.denom)
-    hnf, order = _pick_hnf(lattice, bounds)
-    w = body.coord_weights()
     l1_cap = body.l1_cap(lam, lattice.denom)
-    l1_weights = tuple(w[j] for j in order) if l1_cap is not None else None
-    return _enumerate_shell(hnf, [bounds[j] for j in order], l1_weights, l1_cap, counter,
-                            cols=np.argsort(order))
+    l1_weights = body.coord_weights() if l1_cap is not None else None
+    return _enumerate_shell(lattice._hermite_form, body.coordinate_bounds(lam, lattice.denom),
+                            l1_weights, l1_cap, counter)
 
 
 def _lll_seed_gauges(lattice: IntLattice, body: GaugeBody) -> tuple[Fraction, Fraction]:

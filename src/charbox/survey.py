@@ -30,9 +30,10 @@ import json
 import os
 import sys
 import threading
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass
 
 import numpy as np
 
@@ -98,9 +99,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        unknown = set(data) - set(cls.__dataclass_fields__)
+        fields = cls.__dataclass_fields__
+        unknown = set(data) - set(fields)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        missing = [k for k, f in fields.items() if f.default is MISSING and k not in data]
+        if missing:
+            raise ConfigError(f"missing config fields: {missing}")
+        hints = typing.get_type_hints(cls)
+        for key, value in data.items():
+            if not _json_fits(value, hints[key]):
+                raise ConfigError(f"config field {key} must be {fields[key].type}, got {value!r}")
         cfg = cls(**data)
         cfg.validate()
         return cfg
@@ -116,6 +125,17 @@ class ExperimentConfig:
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
         return cls.from_dict(data)
+
+
+def _json_fits(value, hint) -> bool:
+    """Whether a parsed JSON value has the type of a config field: int, float,
+    str, list[...] or a union with None."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_json_fits(v, args[0]) for v in value)
+    if args:
+        return any(_json_fits(value, a) for a in args)
+    return isinstance(value, hint) and not isinstance(value, bool)
 
 
 def _route_for(box: Box, eps: float) -> str:

@@ -91,6 +91,11 @@ def test_amplify_json_matches_golden(capsys, argv, golden):
          "--p takes comma-separated integers, got '31,x'"),
         (["field", "--p", "31", "--modulus", "1,x,1"],
          "--modulus takes comma-separated integers, got '1,x,1'"),
+        (BOX, "minima needs --z-index or --z-sweep >= 1"),
+        (["minima", "--p", "31", "--box", "0:3,0:3", "--z-index", "966"],
+         "--z-index must lie in [0, q) = [0, 961), got 966"),
+        (["minima", "--p", "31", "--box", "0:3,0:3", "--z-index", "-1"],
+         "--z-index must lie in [0, q) = [0, 961), got -1"),
     ],
 )
 def test_input_errors_exit_2(capsys, argv, message):

@@ -191,7 +191,7 @@ def reference_pipeline():
     """Route charbox.lattice through the reference LLL and enumeration."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice, "_lll_rows", lambda rows, scale: ref_lll_rows(rows, [Fraction(s) for s in scale]))
-        mp.setattr(lattice, "_enumerate_shell", lambda *args, cols: ref_enumerate_shell(*args)[:, cols])
+        mp.setattr(lattice, "_enumerate_shell", ref_enumerate_shell)
         yield
 
 
@@ -296,17 +296,30 @@ class TestIntegerAdjugate:
             IntLattice(((1, 2), (2, 4)))
 
 
+class TestHermiteForm:
+    @KERNEL_SETTINGS
+    @given(integer_bases())
+    def test_reduced_triangular_basis_of_the_same_lattice(self, rows):
+        h = intlinalg._hnf_upper(rows)
+        m = len(rows)
+        assert all(h[i][j] == 0 for i in range(m) for j in range(i))
+        for j in range(m):
+            assert h[j][j] > 0
+            assert all(0 <= h[i][j] < h[j][j] for i in range(j))
+        assert math.prod(h[i][i] for i in range(m)) == abs(ref_det(rows))
+        given_lat, form_lat = IntLattice(tuple(map(tuple, rows))), IntLattice(tuple(map(tuple, h)))
+        assert all(form_lat.contains(r) for r in rows)
+        assert all(given_lat.contains(r) for r in h)
+
+
 # ---------------------------------------------------------------------------
 # shell enumeration
 
 
 def shell_inputs(lat, body, lam):
-    bounds = body.coordinate_bounds(lam, lat.denom)
-    hnf, order = lattice._pick_hnf(lat, bounds)
-    w = body.coord_weights()
     l1_cap = body.l1_cap(lam, lat.denom)
-    l1_weights = tuple(w[j] for j in order) if l1_cap is not None else None
-    return hnf, [bounds[j] for j in order], l1_weights, l1_cap
+    l1_weights = body.coord_weights() if l1_cap is not None else None
+    return lat._hermite_form, body.coordinate_bounds(lam, lat.denom), l1_weights, l1_cap
 
 
 def run_shell(kernel, args, budget):

@@ -78,6 +78,28 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"bad\.json:2:"):
             ExperimentConfig.from_file(str(bad))
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"p_list": 31, "n": 2, "random_boxes": 1}, "p_list must be list[int], got 31"),
+            ({"p_list": [31], "n": 2, "random_boxes": 1, "workers": "2"}, "workers must be int, got '2'"),
+            ({"p_list": [31], "n": 2, "boxes": ["0:3,0:3", 7]}, "boxes must be list[str] | None"),
+            ({"p_list": [31], "n": True, "random_boxes": 1}, "n must be int, got True"),
+            ({"n": 2, "random_boxes": 1}, "missing config fields: ['p_list']"),
+        ],
+    )
+    def test_field_types_validated(self, tmp_path, capsys, data, message):
+        from charbox.cli import main
+
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(data)
+        assert message in str(exc.value)
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {exc.value}\n"
+
     def test_needs_boxes(self):
         with pytest.raises(ConfigError, match="boxes"):
             ExperimentConfig.from_dict({"p_list": [31], "n": 2})
