@@ -98,6 +98,63 @@ def moment_sum(chi: Character, interval: range, r: int) -> MomentResult:
     """sum over u in F_q of |sum over z in I of chi(u+z)|^(2r), against the
     explicit bound 2 r q^(1/2) |I|^(2r) + q |I|^r r^(2r).
 
+    When I is one point, or two points distinct mod p, the value is the
+    exact integer of `_closed_form_moment` rounded once to a float, and no
+    term is swept. Every other interval (|I| >= 3, or two points equal mod
+    p) goes through `_swept_moment`. Either way a value past the float
+    range raises OverflowError."""
+    ctx = chi.ctx
+    size = len(interval)
+    if size < 1:
+        raise RegimeError("interval must be nonempty")
+    if r < 1:
+        raise RegimeError(f"r must be at least 1, got {r}")
+    if ctx.q * size > MOMENT_BUDGET:
+        raise RegimeError(f"q*|I| = {ctx.q * size} exceeds moment budget {MOMENT_BUDGET}")
+    closed = size == 1 or (size == 2 and (interval[1] - interval[0]) % ctx.p != 0)
+    value = None if closed else _swept_moment(chi, interval, r)
+    bound = 2 * r * math.sqrt(ctx.q) * float(size) ** (2 * r) + ctx.q * float(size) ** r * float(
+        r
+    ) ** (2 * r)
+    if closed:  # after the bound, whose OverflowError at large r comes before any big-integer work
+        value = float(_closed_form_moment(ctx.q, chi.order, size, r))
+    bad = bad_tuple_count(size, r)
+    good = size ** (2 * r) - bad
+    return MomentResult(
+        value,
+        bound,
+        good,
+        bad,
+        size**r * r ** (2 * r),
+        value <= bound + 1e-3,
+        bad <= size**r * r ** (2 * r),
+    )
+
+
+def _closed_form_moment(q: int, order: int, size: int, r: int) -> int:
+    """The moment over F_q of a character of the given order, exactly, for
+    I = {z} or I = {z1, z2} with z1 != z2 mod p.
+
+    |I| = 1: every term is 1 but the one at u = -z, so the sum is q - 1.
+    |I| = 2: u = -z1 and u = -z2 give 1 each. Every other u gives
+    |1 + chi(w)|^(2r) with w = (u + z2)/(u + z1), which runs once over F_q
+    minus {0, 1}. Expanding |1 + zeta|^(2r) = sum over a, b <= r of
+    C(r,a) C(r,b) zeta^(a-b), the sum over w in F_q^* keeps exactly the
+    terms with a = b mod order, each q - 1 times: (q - 1) A. The w = 1 term
+    is 4^r. This holds for the trivial character (order 1, A = 4^r) too."""
+    if size == 1:
+        return q - 1
+    classes = [0] * min(order, r + 1)  # sum of C(r, a) over each class of a mod order
+    binom = 1
+    for a in range(r + 1):
+        classes[a % order] += binom
+        binom = binom * (r - a) // (a + 1)
+    return 2 - 4**r + (q - 1) * sum(c * c for c in classes)
+
+
+def _swept_moment(chi: Character, interval: range, r: int) -> float:
+    """The moment summed term by term over F_q, correctly rounded.
+
     u runs in chunks of _MOMENT_CHUNK, and each chunk in pieces of
     _MOMENT_PIECE (`_moment_terms`). A piece's terms are summed exactly into
     an integer (`_exact_int_sums`). A chunk's partial is the sum of its
@@ -111,20 +168,15 @@ def moment_sum(chi: Character, interval: range, r: int) -> MomentResult:
     q-sized work. The pool is made and joined within the call, so none
     outlives it into a fork. Memory in use is about threads x the working
     set of one piece, whatever q is."""
-    ctx = chi.ctx
-    size = len(interval)
-    if size < 1:
-        raise RegimeError("interval must be nonempty")
-    if ctx.q * size > MOMENT_BUDGET:
-        raise RegimeError(f"q*|I| = {ctx.q * size} exceeds moment budget {MOMENT_BUDGET}")
-    chunks = [(a, min(a + _MOMENT_CHUNK, ctx.q)) for a in range(0, ctx.q, _MOMENT_CHUNK)]
+    q = chi.ctx.q
+    chunks = [(a, min(a + _MOMENT_CHUNK, q)) for a in range(0, q, _MOMENT_CHUNK)]
     pieces = [(s, min(s + _MOMENT_PIECE, b)) for a, b in chunks for s in range(a, b, _MOMENT_PIECE)]
 
     def piece_sum(bounds):
         total = _exact_int_sums(_moment_terms(chi, interval, r, *bounds)[:, None])
         return None if total is None else total[0]
 
-    threads = _moment_threads(ctx.q)
+    threads = _moment_threads(q)
     if threads > 1:
         with ThreadPoolExecutor(threads) as pool:
             sums = iter(list(pool.map(piece_sum, pieces)))
@@ -137,21 +189,7 @@ def moment_sum(chi: Character, interval: range, r: int) -> MomentResult:
             partials.append(math.fsum(_moment_terms(chi, interval, r, a, b)))
         else:
             partials.append(sum(ints) / _EXACT_UNIT)
-    value = exact_sum(partials)
-    bound = 2 * r * math.sqrt(ctx.q) * float(size) ** (2 * r) + ctx.q * float(size) ** r * float(
-        r
-    ) ** (2 * r)
-    bad = bad_tuple_count(size, r)
-    good = size ** (2 * r) - bad
-    return MomentResult(
-        value,
-        bound,
-        good,
-        bad,
-        size**r * r ** (2 * r),
-        value <= bound + 1e-3,
-        bad <= size**r * r ** (2 * r),
-    )
+    return exact_sum(partials)
 
 
 def _moment_threads(q: int) -> int:

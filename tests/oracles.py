@@ -5,6 +5,7 @@ Each oracle follows the textbook definition with no shared kernel, so an
 agreement with the library is independent evidence. Tiny inputs only.
 """
 
+import dataclasses
 import importlib
 import math
 from collections import Counter
@@ -107,6 +108,64 @@ def moment_sum_gather(chi, interval, r):
         value, bound, size ** (2 * r) - bad, bad, size**r * r ** (2 * r),
         value <= bound + 1e-3, bad <= size**r * r ** (2 * r),
     )
+
+
+def moment_exact(chi, interval, r) -> int | None:
+    """The moment as an exact integer where I is one point or two points
+    distinct mod p; None for every other interval.
+
+    |I| = 1: q - 1, one term 0 and the rest 1. |I| = 2: u = -z1 and u = -z2
+    give 1 each, and the other u give |1 + chi(w)|^(2r) once for each w in
+    F_q minus {0, 1}. chi takes each d-th root of unity (q - 1)/d times on
+    F_q^*, so the sum over F_q^* is (q - 1)/d times the sum over j < d of
+    |1 + zeta_d^j|^(2r); the w = 1 term 4^r comes off. That sum over j is
+    P(1) + ... + P(zeta_d^(d-1)) for P = (1 + x)^r (1 + x^-1)^r, which is d
+    times the constant coefficient of P mod x^d - 1, multiplied out here one
+    factor at a time."""
+    ctx = chi.ctx
+    if len(interval) > 2 or len({z % ctx.p for z in interval}) < len(interval):
+        return None
+    if len(interval) == 1:
+        return ctx.q - 1
+    d = ctx.q1 // math.gcd(ctx.q1, chi.k)
+    poly = Counter({0: 1})
+    for step in [1] * r + [-1] * r:
+        nxt = Counter(poly)
+        for e, c in poly.items():
+            nxt[(e + step) % d] += c
+        poly = nxt
+    return 2 - 4**r + (ctx.q - 1) // d * (d * poly[0])
+
+
+def moment_gather_error_bound(q: int, size: int, r: int) -> float:
+    """A bound on |moment_sum_gather - exact| for an interval of `size`
+    points, u = 2^-53.
+
+    A chi value is exp(i theta) with theta = (2 pi / (q - 1)) m in [0, 2 pi):
+    2 pi / (q - 1) and the product by m round at most 5u in all, so theta is
+    off by at most 10 pi u < 32 u, and cos and sin add 1 ulp (2u) each:
+    35u per value. Adding |I| values rounds |I| - 1 times, each time at most
+    u |I|; for |I| <= 2 the inner sum s is off by e <= 36 |I| u. Then
+    ||s~|^(2r) - |s|^(2r)| <= 2r |I|^(2r-1) e (1 + 2r e), abs and the power
+    add 2u each relative, to the power 2r for abs: a term is off by at most
+    (77 r + 2) u |I|^(2r). Over q terms, plus the chunk partials and the
+    total rounding once each (at most 2u q |I|^(2r)), that is within
+    (80 r + 3) u q |I|^(2r)."""
+    return (80 * r + 3) * 2.0**-53 * q * float(size) ** (2 * r)
+
+
+def moment_sum_expected(chi, interval, r):
+    """What `harness.moment_sum` returns: the gather, and where
+    `moment_exact` gives an integer, float of that integer as the value,
+    once the gather is checked to lie within `moment_gather_error_bound`
+    of it."""
+    gather = moment_sum_gather(chi, interval, r)
+    exact = moment_exact(chi, interval, r)
+    if exact is None:
+        return gather
+    assert abs(Fraction(gather.value) - exact) <= moment_gather_error_bound(chi.ctx.q, len(interval), r)
+    value = float(exact)
+    return dataclasses.replace(gather, value=value, within_bound=value <= gather.bound + 1e-3)
 
 
 def ratio_bincount_dense(dlogs, modulus):

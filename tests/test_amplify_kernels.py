@@ -16,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from charbox import BasisMatrix, Box, Character, cached_field
 from charbox.sampling import rng_for, sample_basis, small_edge_cap
-from oracles import bad_tuple_count_fraction, moment_sum_gather, s_decomposition_dense
+from oracles import (
+    bad_tuple_count_fraction, moment_exact, moment_sum_expected, moment_sum_gather, s_decomposition_dense,
+)
 
 energy_mod = importlib.import_module("charbox.energy")  # the package re-exports a function `energy`
 harness = importlib.import_module("charbox.harness")
@@ -118,9 +120,10 @@ def test_moment_sum_matches_gather(field, k, start, length, r, chunk):
     interval = range(start, start + length)
     chi = Character(ctx, k % ctx.q1 or 1)
     with mock.patch.object(harness, "_MOMENT_CHUNK", chunk or harness._MOMENT_CHUNK):
-        # a chunk size prime to p puts chunk boundaries mid-row
+        # a chunk size prime to p puts chunk boundaries mid-row; |I| <= 2
+        # expects the exact integer, the rest the gather's bits
         assert moment_bits(harness.moment_sum(chi, interval, r)) == moment_bits(
-            moment_sum_gather(chi, interval, r))
+            moment_sum_expected(chi, interval, r))
 
 
 @pytest.mark.parametrize("start", [-31, 0, 62])
@@ -132,6 +135,46 @@ def test_moment_sum_zero_shift_long_interval(start):
     with mock.patch.object(harness, "_MOMENT_CHUNK", 5000):
         assert moment_bits(harness.moment_sum(chi, interval, 2)) == moment_bits(
             moment_sum_gather(chi, interval, 2))
+
+
+@pytest.mark.parametrize("p, n", [(31, 2), (31, 3)])
+@pytest.mark.parametrize("order", [1, 2, 3, 10, None])  # None: 4321, of order q1/gcd(q1, 4321)
+def test_closed_form_moment(monkeypatch, p, n, order):
+    # orders 1 (trivial), 2, 3 and 10 meet d <= r and d > r as r runs to 10.
+    # One point and two points distinct mod p take the exact integer and
+    # sweep no term; two points equal mod p stay on the sweep, bit for bit
+    ctx = cached_field(p, n, seed=0)
+    chi = Character(ctx, 4321 if order is None else ctx.q1 // order % ctx.q1)
+    assert order in (None, chi.order)
+    swept = []
+    real_terms = harness._moment_terms
+
+    def counted_terms(*args):
+        swept.append(args[1])
+        return real_terms(*args)
+
+    monkeypatch.setattr(harness, "_moment_terms", counted_terms)
+    intervals = [range(0, 1), range(p - 1, p), range(0, 2), range(p - 1, p + 1), range(-3, -1),
+                 range(1, p + 3, p + 1), range(0, 2 * p, p)]
+    for r in range(1, 11):
+        for interval in intervals:
+            swept.clear()
+            got = harness.moment_sum(chi, interval, r)
+            assert moment_bits(got) == moment_bits(moment_sum_expected(chi, interval, r))
+            closed = moment_exact(chi, interval, r) is not None
+            assert closed == (interval != range(0, 2 * p, p))
+            assert (not swept) == closed
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_closed_form_overflow_matches_gather(size):
+    # past r = 80, r^(2r) leaves the float range: the bound raises on both paths
+    ctx = cached_field(31, 2, seed=0)
+    chi, interval, r = Character(ctx, 0), range(1, 1 + size), 100
+    with pytest.raises(OverflowError):
+        moment_sum_gather(chi, interval, r)
+    with pytest.raises(OverflowError):
+        harness.moment_sum(chi, interval, r)
 
 
 def test_bad_tuple_count_matches_fraction():

@@ -70,6 +70,9 @@ def test_field_json_matches_golden(capsys, p, n, seed, basis_seed):
         # one box character sum over an n = 3 box
         (["charsum", "--p", "31", "--n", "3", "--box", "0:3,0:4,0:2", "--char-index", "77"],
          "charsum_p31_n3_k77.json"),
+        # |I| = 3 at eps = 0.45: the moment sum sweeps F_q
+        (["burgess", "--p", "257", "--n", "2", "--box", "3:11,-4:11", "--char-index", "4321",
+          "--epsilon", "0.45"], "burgess_p257_n2_k4321_eps045.json"),
     ],
 )
 def test_amplify_json_matches_golden(capsys, argv, golden):
@@ -96,6 +99,10 @@ def test_amplify_json_matches_golden(capsys, argv, golden):
          "--z-index must lie in [0, q) = [0, 961), got 966"),
         (["minima", "--p", "31", "--box", "0:3,0:3", "--z-index", "-1"],
          "--z-index must lie in [0, q) = [0, 961), got -1"),
+        (["moments", "--p", "31", "--n", "2", "--char-index", "7", "--interval-len", "2", "--r", "0"],
+         "r must be at least 1, got 0"),
+        (["moments", "--p", "31", "--n", "2", "--char-index", "7", "--interval-len", "2", "--r", "-1"],
+         "r must be at least 1, got -1"),
     ],
 )
 def test_input_errors_exit_2(capsys, argv, message):

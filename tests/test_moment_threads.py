@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from charbox import Character, cached_field
 from charbox.cli import main
-from oracles import moment_sum_gather
+from oracles import moment_sum_expected, moment_sum_gather
 
 harness = importlib.import_module("charbox.harness")
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -56,7 +56,7 @@ def test_any_threads_and_pieces_match_gather(field, threads, piece, chunk, k, st
     interval = range(start, start + length)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "_MOMENT_CHUNK", chunk or harness._MOMENT_CHUNK)
-        want = moment_fields(moment_sum_gather(chi, interval, r))
+        want = moment_fields(moment_sum_expected(chi, interval, r))  # |I| <= 2: the exact integer
         mp.setattr(harness, "_moment_threads", lambda q: threads)
         mp.setattr(harness, "_MOMENT_PIECE", p if piece == "p" else piece)
         assert moment_fields(harness.moment_sum(chi, interval, r)) == want
@@ -70,6 +70,9 @@ def test_any_threads_and_pieces_match_gather(field, threads, piece, chunk, k, st
          "moments_p31_n3_k77_len45_r2.json", [7, 31, 1000]),
         (["burgess", "--p", "127", "--n", "3", "--box", "3:7,-2:5,10:6", "--char-index", "12345"],
          "burgess_p127_n3_k12345.json", [127, 1000]),
+        # |I| = 3 at eps = 0.45 and q >= 2^16: the trace's moment runs the threaded sweep
+        (["burgess", "--p", "257", "--n", "2", "--box", "3:11,-4:11", "--char-index", "4321",
+          "--epsilon", "0.45"], "burgess_p257_n2_k4321_eps045.json", [257, 1000]),
     ],
 )
 def test_goldens_at_any_threads_and_pieces(capsys, monkeypatch, threads, argv, golden, pieces):
