@@ -76,6 +76,8 @@ def _minima(args, ctx, basis, box, chi) -> tuple:
         raise ConfigError("minima needs --z-index or --z-sweep >= 1")
     if args.z_index is not None and not 0 <= args.z_index < ctx.q:
         raise ConfigError(f"--z-index must lie in [0, q) = [0, {ctx.q}), got {args.z_index}")
+    if args.z_sweep and ctx.n < 2:
+        raise ConfigError("z-sweep needs n >= 2: every z lies in F_p")
     outputs = []
     if args.z_index is not None:
         res = minima_for_z(box, ctx.decode(args.z_index), args.budget)
@@ -220,6 +222,9 @@ def main(argv=None) -> int:
         payload, ok = args.report(args, *_objects(args))
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # such as a moment bound at large r
+        print(f"error: a value past the float range: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(payload, indent=2))
     return 0 if ok else 1

@@ -11,6 +11,7 @@ H_i < sqrt(p/2) hypothesis flag is the integer test H_i <= small_edge_cap(p).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -20,8 +21,7 @@ from .boxes import Box, _sorted_distinct, difference_box, small_edge_cap
 from .field import FieldCtx, FqElem
 
 PAIR_BUDGET = 2**28
-_CHUNK = 1 << 21  # pairwise kernel chunk size (elements of the lhs slice)
-_BLOCK = 32  # rows per block of the i < j sweep in `_self_ratio_bincount`
+_CHUNK = 1 << 21  # pairs per chunk of a pairwise kernel
 
 
 class EnergyBudgetError(RuntimeError):
@@ -52,24 +52,27 @@ def _pair_chunks(left_dlogs: np.ndarray, right_dlogs: np.ndarray, sign: int, mod
 
 def _self_ratio_bincount(dlogs: np.ndarray, modulus: int) -> np.ndarray:
     """The dense histogram of dlogs[i] - dlogs[j] mod modulus over all pairs
-    (i, j), from the pairs i < j only: the swap (j, i) of a pair has the key
-    -k of (i, j), and the n pairs (i, i) have key 0. Rows go in blocks of
-    _BLOCK, each against the later columns plus the upper triangle of its own
-    square; keys are binned about _CHUNK at a time."""
-    counts = np.zeros(modulus, dtype=np.int64)
-    batch, size = [], 0
-    for s in range(0, len(dlogs), _BLOCK):
-        e = min(s + _BLOCK, len(dlogs))
-        block = dlogs[s:e, None] - dlogs[None, s:]  # rows s..e-1 against columns s..
-        batch += [block[:, e - s :].ravel(), block[:, : e - s][np.triu_indices(e - s, 1)]]
-        size += block.size
-        if size >= _CHUNK or e == len(dlogs):
-            keys = np.concatenate(batch)
-            keys -= modulus * (keys // modulus)
-            counts += np.bincount(keys, minlength=modulus)
-            batch, size = [], 0
+    (i, j) of dlogs in [0, modulus), from the pairs i < j of the sorted
+    dlogs s only: s[j] - s[i] already lies in [0, modulus) and ascends along
+    row i. The swap (j, i) of a pair has the key -k of (i, j), and the n
+    pairs (i, i) have key 0. Rows fill one buffer that is binned whenever it
+    holds _CHUNK keys or more."""
+    s = np.sort(dlogs)
+    n = len(s)
+    buf = np.empty(min(_CHUNK + n, n * (n - 1) // 2), dtype=np.int64)
+    counts, fill = None, 0
+    for i in range(n - 1):
+        end = fill + n - 1 - i
+        np.subtract(s[i + 1 :], s[i], out=buf[fill:end])
+        fill = end
+        if fill >= _CHUNK or i == n - 2:
+            binned = np.bincount(buf[:fill], minlength=modulus)
+            counts = binned if counts is None else np.add(counts, binned, out=counts)
+            fill = 0
+    if counts is None:  # fewer than two dlogs
+        counts = np.zeros(modulus, dtype=np.int64)
     counts[1:] += counts[:0:-1]  # k -> -k; numpy buffers the overlapping operand
-    counts[0] = 2 * counts[0] + len(dlogs)
+    counts[0] = 2 * counts[0] + n
     return counts
 
 
@@ -101,6 +104,23 @@ def _pair_energy(ctx: FieldCtx, idx: np.ndarray, sign: int):
     keys, counts = _pair_counts(dlogs, dlogs, sign, ctx.q1)
     r_zero = 2 * zeros * m - zeros
     return keys, counts, r_zero, int(counts @ counts) + r_zero * r_zero  # exact: E <= m^3 < 2^63
+
+
+_BOX_RATIOS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _box_ratio_energy(box: Box):
+    """`_pair_energy` of the box's elements with sign -1, swept once per Box
+    object and kept while the box lives: a Box is immutable and hashes by
+    identity, so `s_decomposition` and `tau_profile` on one box share B's
+    ratio histogram. The kept arrays are read-only."""
+    found = _BOX_RATIOS.get(box)
+    if found is None:
+        found = _pair_energy(box.ctx, _sorted_distinct(box.element_indices()), -1)
+        for arr in found[:2]:
+            arr.setflags(write=False)
+        _BOX_RATIOS[box] = found
+    return found
 
 
 def _count_at(keys: np.ndarray, counts: np.ndarray, key: int) -> int:
@@ -217,7 +237,8 @@ def s_decomposition(box: Box) -> RatioProfile:
     The sums run in closed form over one period of h_0
     (`_difference_ratio_histogram`), S2 over the p - 1 prime-subfield bins
     and the f, f_0 comparison over the nonzero bins of the ratio histogram
-    h_B, which also gives E(B) (`_pair_energy`); all exact int64.
+    h_B, which also gives E(B) (`_box_ratio_energy`, kept for the box);
+    all exact int64.
     """
     ctx = box.ctx
     p, q1 = ctx.p, ctx.q1
@@ -230,7 +251,7 @@ def s_decomposition(box: Box) -> RatioProfile:
         raise EnergyBudgetError("difference box pair count exceeds budget")
     zero_in_b = bool((idx_b == 0).any())
 
-    in_zprime, h_b, _, e_b = _pair_energy(ctx, idx_b, -1)  # the nonzero bins of h_B
+    in_zprime, h_b, _, e_b = _box_ratio_energy(box)  # the nonzero bins of h_B
     h_0 = _difference_ratio_histogram(ctx, idx_b0)  # one period: h_0 at d is h_0[d % half]
     half = q1 // 2
     size = len(idx_b)
@@ -310,7 +331,7 @@ def tau_profile(box: Box, box0: Box) -> TauProfile:
     sum_tau_sq_nonzero = int(counts @ counts)
     sum_tau_sq = sum_tau_sq_nonzero + tau_zero * tau_zero
 
-    e_b, e_b0 = (_pair_energy(ctx, idx, -1)[3] for idx in (idx_b, idx_b0))
+    e_b, e_b0 = (_box_ratio_energy(b)[3] for b in (box, box0))
     checks = {
         "total_pairs": sum_tau == len(idx_b) * (len(idx_b0) - 1),
         "tau_zero_bound": tau_zero <= len(idx_b0),

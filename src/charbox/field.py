@@ -213,6 +213,10 @@ class FieldCtx:
         d0 = idx % self.p
         return idx - d0 + (d0 + t % self.p) % self.p
 
+    def decode_array(self, idx: np.ndarray) -> np.ndarray:
+        """Element indices, any shape -> coefficients, one more axis of n."""
+        return np.asarray(idx, dtype=np.int64)[..., None] // np.asarray(self._pow_vec) % self.p
+
     def add_elem_array(self, idx: np.ndarray, b: FqElem) -> np.ndarray:
         out = np.zeros_like(idx)
         rest = np.asarray(idx, dtype=np.int64)

@@ -15,12 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import Box, scaled_box, small_edge_cap
-from .characters import _EXACT_UNIT, Character, _exact_int_sums, _fsum_complex, box_char_sum, exact_sum
+from .characters import (
+    _EXACT_UNIT, Character, _exact_column_sums, _exact_int_sums, _fsum_complex, box_char_sum, exact_sum,
+)
 from .energy import tau_profile
 
 R_CAP = 30
 INTERVAL_CAP = 10_000
 MOMENT_BUDGET = 2**28
+_SHIFT_CHUNK = 1 << 20  # shifted elements per batch of Burgess shifts: bounds the batch's memory
 
 
 class RegimeError(ValueError):
@@ -277,25 +280,26 @@ def burgess_trace(box: Box, chi: Character, eps: float) -> BurgessTrace:
 
     b0 = scaled_box(box, delta)
     idx_b = box.element_indices()
-    idx_sorted = np.sort(idx_b)
     b_size = box.size
     shift_bound = 6 * p ** (-delta) * b_size
 
     true_sum = box_char_sum(chi, box)
 
-    # every (y, z) shift: symmetric difference count and the shifted sum
-    max_sym = 0
-    partial_sums = []
-    for y_idx in b0.element_indices():
-        y = ctx.decode(int(y_idx))
-        for z in interval:
-            c = ctx.mul(y, ctx.from_int(z))
-            shifted = ctx.add_elem_array(idx_b, c)
-            overlap = len(np.intersect1d(idx_sorted, shifted, assume_unique=False))
-            sym = 2 * (b_size - overlap)
-            max_sym = max(max_sym, sym)
-            partial_sums.append(_fsum_complex(chi.values_at(shifted)))
-    triple_total = _fsum_complex(np.array(partial_sums, dtype=np.complex128))
+    # every shift c = zy, y in B0 outer and z in I inner: B + c by digits,
+    # its overlap with B (box elements are distinct) and its character sum,
+    # each shift's sum correctly rounded as one column of a batch
+    zs = np.fromiter(interval, dtype=np.int64)[:, None]
+    shifts = (ctx.decode_array(b0.element_indices())[:, None, :] * zs % p).reshape(-1, ctx.n)
+    digits_b = ctx.decode_array(idx_b)
+    step = max(1, _SHIFT_CHUNK // b_size)
+    max_sym, partial_sums = 0, []
+    for start in range(0, len(shifts), step):
+        shifted = ctx.encode_array((digits_b + shifts[start : start + step, None, :]) % p)
+        overlap = np.isin(shifted, idx_b).sum(axis=1)
+        max_sym = max(max_sym, 2 * (b_size - int(overlap.min())))
+        vals = np.ascontiguousarray(chi.values_at(shifted).T)  # (|B|, shifts): re, im columns
+        partial_sums += _exact_column_sums(vals.view(np.float64))
+    triple_total = _fsum_complex(np.array(partial_sums).view(np.complex128))
     b0_size = b0.size
     averaged = triple_total / (b0_size * len(interval))
     identity_err = abs(true_sum - averaged)

@@ -14,7 +14,7 @@ from itertools import product
 
 import numpy as np
 
-from charbox.boxes import difference_box
+from charbox.boxes import difference_box, scaled_box
 from charbox.characters import exact_sum
 from charbox.field import FieldError
 from charbox.sampling import rng_for, sample_basis
@@ -166,6 +166,27 @@ def moment_sum_expected(chi, interval, r):
     assert abs(Fraction(gather.value) - exact) <= moment_gather_error_bound(chi.ctx.q, len(interval), r)
     value = float(exact)
     return dataclasses.replace(gather, value=value, within_bound=value <= gather.bound + 1e-3)
+
+
+def burgess_shift_loop(box, chi, eps):
+    """(averaged_sum, triple_abs, max_sym_diff) of `harness.burgess_trace`
+    by one loop over the shifts c = zy, y in B0 (lexicographic) outer and z
+    in I inner: each shifted sum is math.fsum of its real and imaginary
+    parts, and the overlap a set membership count."""
+    ctx = box.ctx
+    params = harness.choose_parameters(eps, ctx.p)
+    b0 = scaled_box(box, params.delta)
+    idx_b = box.element_indices()
+    members = set(idx_b.tolist())
+    max_sym, partials = 0, []
+    for _, y in b0.elements():
+        for z in params.interval:
+            shifted = ctx.add_elem_array(idx_b, ctx.mul(y, ctx.from_int(z)))
+            max_sym = max(max_sym, 2 * (box.size - sum(v in members for v in shifted.tolist())))
+            vals = chi.values_at(shifted)
+            partials.append(complex(math.fsum(vals.real), math.fsum(vals.imag)))
+    total = complex(math.fsum(c.real for c in partials), math.fsum(c.imag for c in partials))
+    return total / (b0.size * len(params.interval)), abs(total), max_sym
 
 
 def ratio_bincount_dense(dlogs, modulus):

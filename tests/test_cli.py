@@ -1,5 +1,9 @@
+import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -103,6 +107,10 @@ def test_amplify_json_matches_golden(capsys, argv, golden):
          "r must be at least 1, got 0"),
         (["moments", "--p", "31", "--n", "2", "--char-index", "7", "--interval-len", "2", "--r", "-1"],
          "r must be at least 1, got -1"),
+        (["minima", "--p", "13", "--n", "1", "--box", "0:2", "--z-sweep", "1"],
+         "z-sweep needs n >= 2: every z lies in F_p"),
+        (["moments", "--p", "31", "--n", "2", "--char-index", "5", "--interval-len", "3", "--r", "100"],
+         "a value past the float range"),
     ],
 )
 def test_input_errors_exit_2(capsys, argv, message):
@@ -139,3 +147,11 @@ def test_help_lists_every_flag(capsys, command):
     out = capsys.readouterr().out
     assert set(re.findall(r"--[\w-]+", out)) == {"--help", *COMMAND_FLAGS[command]}
     assert command != "run" or "config" in out.splitlines()[0]
+
+
+def test_python_m_charbox_runs_the_cli():
+    src = pathlib.Path(__file__).parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-m", "charbox", "field", "--p", "31"],
+                          env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["q"] == 961

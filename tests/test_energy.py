@@ -1,12 +1,13 @@
 import importlib
 import math
 import tracemalloc
+from unittest import mock
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from charbox import (
     Box,
@@ -165,19 +166,21 @@ class TestPairSweep:
     @given(
         dlogs=st.lists(st.integers(0, 10**6), max_size=40),
         modulus=st.sampled_from([1, 2, 480, 961, 1_000_003]),
-        block=st.sampled_from([1, 3, 32]),
         chunk=st.sampled_from([5, 50, 1 << 21]),
     )
-    def test_self_ratio_bincount_matches_all_pairs(self, dlogs, modulus, block, chunk):
-        # the i < j sweep plus reflection and diagonal is the all-pairs histogram
+    @example(dlogs=[9, 2, 7, 2, 0, 9, 5, 1], modulus=480, chunk=5)  # unsorted, with repeats
+    def test_self_ratio_bincount_matches_all_pairs(self, dlogs, modulus, chunk):
+        # the sorted i < j sweep plus reflection and diagonal is the all-pairs
+        # histogram, and the caller's array keeps its order
         dlogs = np.array(dlogs, dtype=np.int64) % modulus
+        before = dlogs.copy()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(energy_mod, "_BLOCK", block)
             mp.setattr(energy_mod, "_CHUNK", chunk)
             got = energy_mod._self_ratio_bincount(dlogs, modulus)
         expected = np.zeros(modulus, dtype=np.int64)
         np.add.at(expected, (dlogs[:, None] - dlogs[None, :]).ravel() % modulus, 1)
         assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert np.array_equal(dlogs, before)
 
     @settings(max_examples=40, deadline=None)
     @given(size=st.integers(0, 30), with_zero=st.booleans(), chunk=st.sampled_from([7, 100, 1 << 21]),
@@ -361,6 +364,21 @@ class TestTauProfile:
             if ctx.mul(x1, y2) == ctx.mul(x2, y1)
         )
         assert prof.sum_tau_sq == count
+
+    def test_box_ratio_histogram_swept_once_per_box(self, f31_2, id_basis_31_2):
+        # s_decomposition then tau_profile on one Box sweeps B's ratio pairs
+        # once; a fresh Box with the same edges is swept again
+        box = Box(id_basis_31_2, (3, -4), (3, 2))
+        b0 = scaled_box(box, 0.15)
+        idx_b = np.sort(box.element_indices())
+        with mock.patch.object(energy_mod, "_pair_energy", wraps=energy_mod._pair_energy) as spy:
+            prof = s_decomposition(box)
+            tau = tau_profile(box, b0)
+            twin = Box(id_basis_31_2, box.N, box.H)
+            assert s_decomposition(twin).E == prof.E
+        sweeps_of_b = [c for c in spy.call_args_list if np.array_equal(c.args[1], idx_b)]
+        assert len(sweeps_of_b) == 2  # box and twin, once each
+        assert tau.checks["cauchy_schwarz"] and prof.E == energy(f31_2, box).E
 
     def test_tau_of_accessor(self, f31_2, id_basis_31_2):
         ctx = f31_2

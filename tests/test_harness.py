@@ -6,6 +6,7 @@ from charbox import (
     Character,
     RegimeError,
     bad_tuple_count,
+    build_field,
     burgess_trace,
     choose_parameters,
     delta_bracket_ok,
@@ -14,7 +15,7 @@ from charbox import (
 )
 from charbox import harness
 from charbox.sampling import rng_for, sample_basis
-from oracles import bad_tuple_count_bruteforce
+from oracles import bad_tuple_count_bruteforce, burgess_shift_loop
 
 
 class TestChooseParameters:
@@ -84,6 +85,12 @@ class TestMomentSum:
             moment_sum(Character(f31_2, 5), range(1, 10), 2)
 
 
+@pytest.fixture(scope="module")
+def f67():
+    # built, not cached: the fields stay out of the process-wide field cache
+    return {n: build_field(67, n, seed=0) for n in (2, 3)}
+
+
 class TestBurgessTrace:
     def test_full_bruteforce_p61(self, f61_2):
         ctx = f61_2
@@ -111,6 +118,29 @@ class TestBurgessTrace:
         assert worst_sym == trace.max_sym_diff
         assert worst_sym <= 6 * 61 ** (-trace.delta) * box.size
         assert abs(trace.true_sum) <= trace.assembled_bound + 1e-6
+
+    @pytest.mark.parametrize("n, N, H", [
+        (2, (-3, -1), (5, 4)),  # through 0
+        (2, (64, 130), (5, 5)),  # offsets wrap mod p
+        (3, (-2, -3, -1), (5, 4, 5)),
+        (3, (63, -70, 130), (5, 5, 5)),
+    ])
+    @pytest.mark.parametrize("slice_shifts", [1, 3, None])
+    def test_batched_shifts_match_shift_loop(self, monkeypatch, f67, n, N, H, slice_shifts):
+        # the batched shifts give the per-shift loop's bits at any slice size
+        # (None: the default); at p = 67, eps = 0.35 there are |B0| * 2 shifts
+        ctx = f67[n]
+        box = Box(sample_basis(ctx, rng_for(2, 5, n)), N, H)
+        chi = Character(ctx, 1234)
+        if slice_shifts is not None:
+            monkeypatch.setattr(harness, "_SHIFT_CHUNK", slice_shifts * box.size)
+        trace = burgess_trace(box, chi, 0.35)
+        averaged, triple_abs, max_sym = burgess_shift_loop(box, chi, 0.35)
+        assert trace.b0_size * trace.interval_len > 3
+        assert (trace.averaged_sum.real.hex(), trace.averaged_sum.imag.hex()) == (
+            averaged.real.hex(), averaged.imag.hex())
+        assert trace.triple_abs.hex() == triple_abs.hex()
+        assert trace.max_sym_diff == max_sym and type(trace.max_sym_diff) is int
 
     def test_shift_identity_zero_shift(self, f61_2):
         # y = 0 gives identical boxes: symmetric difference 0
