@@ -61,11 +61,11 @@ class Character:
 def exact_sum(vals) -> float:
     """Correctly rounded sum of float64 values: the same float as math.fsum.
 
-    The sum is taken exactly in a Python int and rounded once, so it does
-    not depend on the order of the values or on how they are cut into
-    slices (`_exact_int_sums`). Non-finite input goes to math.fsum, which
-    returns inf or nan or raises as it does; a finite sum beyond the float
-    range raises OverflowError."""
+    The sum is taken exactly in a Python int and rounded once
+    (`_exact_column_sums`), so it does not depend on the order of the
+    values. Non-finite input goes to math.fsum, which returns inf or nan or
+    raises as it does; a finite sum beyond the float range raises
+    OverflowError."""
     return _exact_column_sums(np.asarray(vals, dtype=np.float64).reshape(-1, 1))[0]
 
 
@@ -75,26 +75,16 @@ def _fsum_complex(vals: np.ndarray) -> complex:
 
 
 def _exact_column_sums(x: np.ndarray) -> list[float]:
-    """math.fsum of each column of a 2-D float64 array: the exact integer
-    sums of `_exact_int_sums`, each rounded once by int/int true division.
-    Non-finite input goes to math.fsum."""
-    totals = _exact_int_sums(x)
-    if totals is None:
-        return [math.fsum(col) for col in x.T]
-    return [t / _EXACT_UNIT for t in totals]
+    """math.fsum of each column of a 2-D float64 array. Non-finite input goes
+    to math.fsum.
 
-
-def _exact_int_sums(x: np.ndarray) -> list[int] | None:
-    """Each column's exact sum as an integer count of 2^-1126, or None if x
-    holds a non-finite value. Integers add exactly, so the sums of the row
-    slices of an array, added and then divided by _EXACT_UNIT, give the
-    float that `_exact_column_sums` gives for the whole array.
-
-    np.frexp writes a finite value as M * 2^(e - 53) with an integer
-    |M| < 2^53, cut here as M = hi * 2^27 + lo with |hi| < 2^26, |lo| < 2^27.
-    np.bincount sums the halves per (column, exponent); a bucket meets at
-    most 2 * _SUM_CHUNK halves, so its float64 sum is exact. The buckets are
-    combined in a Python int (Neal 2015, "small superaccumulator").
+    Each column is summed exactly into an integer count of 2^-1126 and
+    rounded once by int/int true division. np.frexp writes a finite value as
+    M * 2^(e - 53) with an integer |M| < 2^53, cut here as M = hi * 2^27 + lo
+    with |hi| < 2^26, |lo| < 2^27. np.bincount sums the halves per (column,
+    exponent); a bucket meets at most 2 * _SUM_CHUNK halves, so its float64
+    sum is exact. The buckets are combined in a Python int (Neal 2015,
+    "small superaccumulator").
     """
     k = x.shape[1]
     totals = [0] * k
@@ -108,11 +98,11 @@ def _exact_int_sums(x: np.ndarray) -> list[int] | None:
         acc, acc_hi = (np.bincount(key, weights=h.ravel(), minlength=k * width) for h in (lo, hi))
         acc[27:] += acc_hi[:-27]
         if not np.isfinite(acc).all():
-            return None
+            return [math.fsum(col) for col in x.T]
         groups = (acc.astype(np.int64).reshape(k, -1, 8) << np.arange(8)).sum(axis=2)  # < 2^58
         for c, row in enumerate(groups.tolist()):
             totals[c] += sum(v << 8 * g for g, v in enumerate(row)) << (e0 + 1073)
-    return totals
+    return [t / _EXACT_UNIT for t in totals]
 
 
 def box_char_sum(chi: Character, box: Box) -> complex:
@@ -143,12 +133,11 @@ def complete_poly_char_sum(chi: Character, roots: list[tuple[FqElem, int]]) -> P
     m = len(roots)
     degenerate = all(e % chi.order == 0 for _, e in roots)
 
-    all_u = np.arange(ctx.q, dtype=np.int64)
+    digits = ctx.decode_array(np.arange(ctx.q, dtype=np.int64))
     acc = np.zeros(ctx.q, dtype=np.int64)
     zero_mask = np.zeros(ctx.q, dtype=bool)
     for z, e in roots:
-        shifted = ctx.add_elem_array(all_u, z)
-        dl = ctx.dlog[shifted]
+        dl = ctx.dlog[ctx.encode_array((digits + z) % ctx.p)]
         zero_mask |= dl < 0
         acc = (acc + e * np.where(dl < 0, 0, dl)) % ctx.q1
     value = _fsum_complex(chi._of_dlogs(acc, zero_mask))

@@ -217,14 +217,6 @@ class FieldCtx:
         """Element indices, any shape -> coefficients, one more axis of n."""
         return np.asarray(idx, dtype=np.int64)[..., None] // np.asarray(self._pow_vec) % self.p
 
-    def add_elem_array(self, idx: np.ndarray, b: FqElem) -> np.ndarray:
-        out = np.zeros_like(idx)
-        rest = np.asarray(idx, dtype=np.int64)
-        for i in range(self.n):
-            rest, digit = np.divmod(rest, self.p)
-            out += ((digit + b[i]) % self.p) * self._pow_vec[i]
-        return out
-
     def mul_matrix_power_basis(self, c: FqElem) -> np.ndarray:
         """n x n matrix M with M @ coeffs(x) = coeffs(c * x) mod p."""
         cols = [self.mul(c, self.decode(self._pow_vec[i])) for i in range(self.n)]

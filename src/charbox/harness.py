@@ -15,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import Box, scaled_box, small_edge_cap
-from .characters import (
-    _EXACT_UNIT, Character, _exact_column_sums, _exact_int_sums, _fsum_complex, box_char_sum, exact_sum,
-)
+from .characters import Character, _exact_column_sums, _fsum_complex, box_char_sum, exact_sum
 from .energy import tau_profile
 
 R_CAP = 30
@@ -92,9 +90,7 @@ class MomentResult:
     census_ok: bool
 
 
-_MOMENT_CHUNK = 1 << 18  # u's per rounded partial sum
-_MOMENT_PIECE = 1 << 15  # u's per task: bounds each thread's working memory
-_THREADED_MIN_Q = 1 << 16  # smaller fields run on the calling thread: threads cost more than they save
+_MOMENT_CHUNK = 1 << 18  # u's per rounded partial sum and per thread task
 
 
 def moment_sum(chi: Character, interval: range, r: int) -> MomentResult:
@@ -158,46 +154,34 @@ def _closed_form_moment(q: int, order: int, size: int, r: int) -> int:
 def _swept_moment(chi: Character, interval: range, r: int) -> float:
     """The moment summed term by term over F_q, correctly rounded.
 
-    u runs in chunks of _MOMENT_CHUNK, and each chunk in pieces of
-    _MOMENT_PIECE (`_moment_terms`). A piece's terms are summed exactly into
-    an integer (`_exact_int_sums`). A chunk's partial is the sum of its
-    pieces' integers rounded once, which is the float exact_sum of the whole
-    chunk gives, and the value is the exact_sum of the partials. Integer
-    sums do not depend on where pieces are cut or which thread computed
-    them, so the value is the same bits at any thread count and piece size.
+    u runs in chunks of _MOMENT_CHUNK. A chunk's terms (`_moment_terms`)
+    are summed to one correctly rounded partial, and the value is the
+    exact_sum of the partials. The chunks alone fix the bits, so the value
+    is the same at any thread count.
 
-    For q >= _THREADED_MIN_Q the pieces run on a ThreadPoolExecutor with one
-    thread per CPU this process may use; numpy releases the GIL in the
-    q-sized work. The pool is made and joined within the call, so none
-    outlives it into a fork. Memory in use is about threads x the working
-    set of one piece, whatever q is."""
+    With more than one chunk, the chunks run on a ThreadPoolExecutor with
+    one thread per CPU this process may use, at most one per chunk; numpy
+    releases the GIL in the chunk-sized work. The pool is made and joined
+    within the call, so none outlives it into a fork. Each thread holds one
+    chunk's working set, 48 bytes per u or 12 MiB under tracemalloc, so
+    memory in use is about threads x 12 MiB whatever q is: two threads
+    peak under 26 MiB at q = 101^3."""
     q = chi.ctx.q
     chunks = [(a, min(a + _MOMENT_CHUNK, q)) for a in range(0, q, _MOMENT_CHUNK)]
-    pieces = [(s, min(s + _MOMENT_PIECE, b)) for a, b in chunks for s in range(a, b, _MOMENT_PIECE)]
 
-    def piece_sum(bounds):
-        total = _exact_int_sums(_moment_terms(chi, interval, r, *bounds)[:, None])
-        return None if total is None else total[0]
+    def partial(bounds):
+        return _exact_column_sums(_moment_terms(chi, interval, r, *bounds)[:, None])[0]
 
-    threads = _moment_threads(q)
-    if threads > 1:
-        with ThreadPoolExecutor(threads) as pool:
-            sums = iter(list(pool.map(piece_sum, pieces)))
-    else:
-        sums = map(piece_sum, pieces)
-    partials = []
-    for a, b in chunks:
-        ints = [next(sums) for _ in range(a, b, _MOMENT_PIECE)]
-        if None in ints:  # a non-finite term: math.fsum of the whole chunk, as exact_sum does
-            partials.append(math.fsum(_moment_terms(chi, interval, r, a, b)))
-        else:
-            partials.append(sum(ints) / _EXACT_UNIT)
-    return exact_sum(partials)
+    threads = min(_moment_threads(), len(chunks))
+    if threads == 1:
+        return exact_sum([partial(c) for c in chunks])
+    with ThreadPoolExecutor(threads) as pool:
+        return exact_sum(list(pool.map(partial, chunks)))
 
 
-def _moment_threads(q: int) -> int:
-    """Threads for a moment sum over F_q: one per CPU this process may use."""
-    return len(os.sched_getaffinity(0)) if q >= _THREADED_MIN_Q else 1
+def _moment_threads() -> int:
+    """Threads for a moment sum: one per CPU this process may use."""
+    return len(os.sched_getaffinity(0))
 
 
 def _moment_terms(chi: Character, interval: range, r: int, start: int, stop: int) -> np.ndarray:
@@ -207,8 +191,9 @@ def _moment_terms(chi: Character, interval: range, r: int, start: int, stop: int
     rows enclosing [start, stop), and shift z adds those rows rotated left
     by z mod p, as two slices, into an accumulator of the same shape: every
     u sums the same values in the same order as a gather of chi(u + z)
-    would. Runs on worker threads, so it calls no public charbox function:
-    a tracer that wraps those keeps one span stack for the calling thread.
+    would. Runs on worker threads, as does the `_exact_column_sums` of its
+    terms, so neither calls a public charbox function: a tracer that wraps
+    those keeps one span stack for the calling thread.
     """
     p = chi.ctx.p
     lo = start - start % p

@@ -178,10 +178,11 @@ def burgess_shift_loop(box, chi, eps):
     b0 = scaled_box(box, params.delta)
     idx_b = box.element_indices()
     members = set(idx_b.tolist())
+    digits_b = ctx.decode_array(idx_b)
     max_sym, partials = 0, []
     for _, y in b0.elements():
         for z in params.interval:
-            shifted = ctx.add_elem_array(idx_b, ctx.mul(y, ctx.from_int(z)))
+            shifted = ctx.encode_array((digits_b + ctx.mul(y, ctx.from_int(z))) % ctx.p)
             max_sym = max(max_sym, 2 * (box.size - sum(v in members for v in shifted.tolist())))
             vals = chi.values_at(shifted)
             partials.append(complex(math.fsum(vals.real), math.fsum(vals.imag)))

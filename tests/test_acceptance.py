@@ -127,10 +127,10 @@ WEIL_FIELDS = [(5, 2), (3, 3), (7, 2), (11, 2)]  # q = 25, 27, 49, 121
 def _char_matrix(ctx, chi):
     """W[z, u] = chi(u + z) for all z, u; columns indexed by u."""
     q = ctx.q
-    all_u = np.arange(q, dtype=np.int64)
+    digits = ctx.decode_array(np.arange(q, dtype=np.int64))
     rows = np.empty((q, q), dtype=np.complex128)
     for z_idx in range(q):
-        rows[z_idx] = chi.values_at(ctx.add_elem_array(all_u, ctx.decode(z_idx)))
+        rows[z_idx] = chi.values_at(ctx.encode_array((digits + ctx.decode(z_idx)) % ctx.p))
     return rows
 
 

@@ -12,7 +12,7 @@ from charbox import Box, Character, cached_field, tall_box_identity
 from charbox import characters, harness
 from charbox.characters import box_char_sum, exact_sum
 from charbox.sampling import rng_for, sample_basis, sample_box, sample_character
-from oracles import moment_sum_gather, seeded_basis
+from oracles import seeded_basis
 
 
 def same_bits(a, b) -> bool:
@@ -24,6 +24,14 @@ def fsum_or_none(vals):
         return math.fsum(vals)
     except OverflowError:  # intermediate overflow: exact_sum is only specified where fsum is finite
         return None
+
+
+def outcome(fn):
+    """The float's bits, or the exception type and message."""
+    try:
+        return ("value", np.float64(fn()).tobytes())
+    except (OverflowError, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -89,86 +97,15 @@ class TestExactSumMatchesFsum:
         with pytest.raises(ValueError):
             exact_sum(np.array([math.inf, -math.inf]))
 
-
-# ---------------------------------------------------------------------------
-# exact integer accumulators of pieces: what moment_sum adds across threads
-
-
-def outcome(fn):
-    """The float's bits, or the exception type and message."""
-    try:
-        return ("value", np.float64(fn()).tobytes())
-    except (OverflowError, ValueError) as exc:
-        return (type(exc).__name__, str(exc))
-
-
-def int_sum(piece) -> int | None:
-    sums = characters._exact_int_sums(np.asarray(piece, dtype=np.float64).reshape(-1, 1))
-    return None if sums is None else sums[0]
-
-
-class TestPieceAccumulators:
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(st.one_of(finite, near_1e16, subnormal, wide), max_size=60),
-        st.lists(st.integers(0, 60), max_size=8),  # repeated or end cuts leave empty pieces
-        st.sampled_from([None, 3]),
-    )
-    def test_pieces_round_once_to_exact_sum(self, vals, cuts, sum_chunk):
-        whole = np.array(vals, dtype=np.float64)
-        bounds = [0] + sorted(min(c, len(vals)) for c in cuts) + [len(vals)]
-        with pytest.MonkeyPatch.context() as mp:
-            if sum_chunk:
-                mp.setattr(characters, "_SUM_CHUNK", sum_chunk)  # pieces longer than a pass
-            ints = [int_sum(whole[a:b]) for a, b in zip(bounds, bounds[1:])]
-            got = outcome(lambda: sum(ints) / characters._EXACT_UNIT)
-            assert got == outcome(lambda: exact_sum(whole))
-        want = fsum_or_none(vals)
-        if want is not None:
-            assert got == ("value", np.float64(want).tobytes())
-
     @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=30), st.integers(0, 29),
            st.sampled_from([math.inf, -math.inf, math.nan]))
-    def test_non_finite_piece_has_no_integer_sum(self, vals, at, bad):
-        at %= len(vals)
-        vals[at] = bad
-        whole = np.array(vals)
-        assert int_sum(whole[at:]) is None and int_sum(whole[: at + 1]) is None
-        assert outcome(lambda: exact_sum(whole)) == outcome(lambda: math.fsum(vals))
+    def test_non_finite_anywhere_goes_to_fsum(self, vals, at, bad):
+        vals[at % len(vals)] = bad
+        assert outcome(lambda: exact_sum(np.array(vals))) == outcome(lambda: math.fsum(vals))
 
     def test_sum_beyond_float_range_raises_overflow(self):
-        # each piece fits; the exact total does not, and rounding it raises as exact_sum does
-        pieces = [np.array([1.5e308]), np.array([1.5e308, -1e307])]
-        total = sum(int_sum(piece) for piece in pieces)
         with pytest.raises(OverflowError):
-            total / characters._EXACT_UNIT
-        with pytest.raises(OverflowError):
-            exact_sum(np.concatenate(pieces))
-
-    def test_moment_chunk_with_a_non_finite_piece_falls_back_to_fsum(self, monkeypatch):
-        # a piece without an integer sum sends its whole chunk through math.fsum
-        ctx = cached_field(31, 3, seed=0)
-        chi, interval = Character(ctx, 4321), range(1, 6)
-        monkeypatch.setattr(harness, "_MOMENT_PIECE", 1000)
-        monkeypatch.setattr(harness, "_MOMENT_CHUNK", 10007)  # prime to p: chunks end mid-row
-        want = moment_sum_gather(chi, interval, 3)
-        real_int_sums, real_fsum = harness._exact_int_sums, math.fsum
-        calls, fsum_lengths = [], []
-
-        def second_piece_non_finite(x):
-            calls.append(len(x))
-            return None if len(calls) == 2 else real_int_sums(x)
-
-        def recording_fsum(vals):
-            fsum_lengths.append(len(vals))
-            return real_fsum(vals)
-
-        monkeypatch.setattr(harness, "_exact_int_sums", second_piece_non_finite)
-        monkeypatch.setattr(math, "fsum", recording_fsum)
-        got = harness.moment_sum(chi, interval, 3)
-        monkeypatch.setattr(math, "fsum", real_fsum)
-        assert fsum_lengths == [10007]  # the first chunk, whole
-        assert same_bits(got.value, want.value)
+            exact_sum(np.array([1.5e308, 1.5e308, -1e307]))
 
 
 # ---------------------------------------------------------------------------

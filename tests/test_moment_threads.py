@@ -1,10 +1,12 @@
-"""`moment_sum` on worker threads: the same bits at any thread count and
-piece size, public calls only on the calling thread, and a forked child
-that still computes the same value.
+"""`moment_sum` on worker threads, one rounding chunk per task: the same
+bits at any thread count, public calls only on the calling thread, a
+memory peak of about one chunk per thread, and a forked child that still
+computes the same value.
 
-`harness._moment_threads` is patched to force a thread count on small
-fields; `_MOMENT_PIECE` and `_MOMENT_CHUNK` are patched to cut pieces and
-chunks mid-row.
+`harness._moment_threads` is patched to force a thread count. A field of
+q <= 2^18 is one chunk at the default `_MOMENT_CHUNK` and runs on the
+calling thread, so tests that need workers on a small field patch
+`_MOMENT_CHUNK` to a prime, which also puts chunk boundaries mid-row.
 """
 
 import importlib
@@ -12,6 +14,7 @@ import inspect
 import multiprocessing
 import pathlib
 import threading
+import tracemalloc
 import warnings
 
 import pytest
@@ -42,14 +45,13 @@ def outcome(fn):
 @given(
     field=st.sampled_from([(31, 2), (61, 2), (101, 2), (31, 3)]),
     threads=st.sampled_from([1, 2, 3, 4]),
-    piece=st.sampled_from([7, "p", 1000]),
     chunk=st.sampled_from([None, 997, 4099]),  # primes: chunk boundaries fall mid-row
     k=st.integers(1, 10**6),
     start=st.integers(-40, 40),
     length=st.integers(1, 70),
     r=st.integers(1, 4),
 )
-def test_any_threads_and_pieces_match_gather(field, threads, piece, chunk, k, start, length, r):
+def test_any_threads_and_chunks_match_gather(field, threads, chunk, k, start, length, r):
     p, n = field
     ctx = cached_field(p, n, seed=0)
     chi = Character(ctx, k % ctx.q1 or 1)
@@ -57,30 +59,63 @@ def test_any_threads_and_pieces_match_gather(field, threads, piece, chunk, k, st
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "_MOMENT_CHUNK", chunk or harness._MOMENT_CHUNK)
         want = moment_fields(moment_sum_expected(chi, interval, r))  # |I| <= 2: the exact integer
-        mp.setattr(harness, "_moment_threads", lambda q: threads)
-        mp.setattr(harness, "_MOMENT_PIECE", p if piece == "p" else piece)
+        mp.setattr(harness, "_moment_threads", lambda: threads)
         assert moment_fields(harness.moment_sum(chi, interval, r)) == want
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3, 4])
 @pytest.mark.parametrize(
-    "argv, golden, pieces",
+    "argv, golden",
     [
         (["moments", "--p", "31", "--n", "3", "--char-index", "77", "--interval-len", "45", "--r", "2"],
-         "moments_p31_n3_k77_len45_r2.json", [7, 31, 1000]),
+         "moments_p31_n3_k77_len45_r2.json"),
         (["burgess", "--p", "127", "--n", "3", "--box", "3:7,-2:5,10:6", "--char-index", "12345"],
-         "burgess_p127_n3_k12345.json", [127, 1000]),
-        # |I| = 3 at eps = 0.45 and q >= 2^16: the trace's moment runs the threaded sweep
+         "burgess_p127_n3_k12345.json"),
+        # |I| = 3 at eps = 0.45: the trace's moment runs the sweep
         (["burgess", "--p", "257", "--n", "2", "--box", "3:11,-4:11", "--char-index", "4321",
-          "--epsilon", "0.45"], "burgess_p257_n2_k4321_eps045.json", [257, 1000]),
+          "--epsilon", "0.45"], "burgess_p257_n2_k4321_eps045.json"),
     ],
 )
-def test_goldens_at_any_threads_and_pieces(capsys, monkeypatch, threads, argv, golden, pieces):
-    monkeypatch.setattr(harness, "_moment_threads", lambda q: threads)
-    for piece in pieces:
-        monkeypatch.setattr(harness, "_MOMENT_PIECE", piece)
-        assert main(argv) == 0
-        assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
+def test_goldens_at_any_threads(capsys, monkeypatch, threads, argv, golden):
+    monkeypatch.setattr(harness, "_moment_threads", lambda: threads)
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_default_chunks_at_real_size(monkeypatch, threads):
+    # q = 67^3 is two chunks at the default size and the boundary falls
+    # mid-row; three threads are capped at the two chunks
+    ctx = cached_field(67, 3, seed=0)
+    assert ctx.q > harness._MOMENT_CHUNK and harness._MOMENT_CHUNK % ctx.p != 0
+    chi, interval = Character(ctx, 4321), range(1, 6)
+    want = moment_fields(moment_sum_gather(chi, interval, 3))
+    ran_on = set()
+    real_terms = harness._moment_terms
+
+    def recorded(*args):
+        ran_on.add(threading.get_ident())
+        return real_terms(*args)
+
+    monkeypatch.setattr(harness, "_moment_terms", recorded)
+    monkeypatch.setattr(harness, "_moment_threads", lambda: threads)
+    assert moment_fields(harness.moment_sum(chi, interval, 3)) == want
+    assert (threading.get_ident() not in ran_on) == (threads > 1)
+
+
+def test_memory_peak_is_one_chunk_per_thread(monkeypatch):
+    # each chunk's working set is 12 MiB under tracemalloc; q = 101^3 is four
+    # chunks, and two threads must hold no more than one chunk each
+    ctx = cached_field(101, 3, seed=0)
+    chi = Character(ctx, 4321)
+    monkeypatch.setattr(harness, "_moment_threads", lambda: 2)
+    tracemalloc.start()
+    try:
+        harness.moment_sum(chi, range(1, 6), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 26 * 2**20
 
 
 @pytest.mark.parametrize("r", [154, 160])
@@ -94,8 +129,7 @@ def test_overflow_matches_gather(monkeypatch, r):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # overflow in power
         want = outcome(lambda: moment_sum_gather(chi, interval, r))
-        monkeypatch.setattr(harness, "_moment_threads", lambda q: 2)
-        monkeypatch.setattr(harness, "_MOMENT_PIECE", 1000)
+        monkeypatch.setattr(harness, "_moment_threads", lambda: 2)
         got = outcome(lambda: harness.moment_sum(chi, interval, r))
     assert got == want and got[0] == "OverflowError"
 
@@ -137,8 +171,8 @@ def test_public_calls_stay_on_the_calling_thread(monkeypatch):
             if id(obj) in wrapped:
                 monkeypatch.setattr(mod, name, wrapped[id(obj)])
     monkeypatch.setattr(harness, "_moment_terms", recorded(harness._moment_terms, worker_threads))
-    monkeypatch.setattr(harness, "_moment_threads", lambda q: 2)
-    monkeypatch.setattr(harness, "_MOMENT_PIECE", 1000)
+    monkeypatch.setattr(harness, "_moment_threads", lambda: 2)
+    monkeypatch.setattr(harness, "_MOMENT_CHUNK", 4099)  # prime: q = 31^3 is 8 chunks
 
     ctx = cached_field(31, 3, seed=0)
     harness.moment_sum(Character(ctx, 4321), range(1, 6), 3)
@@ -155,8 +189,8 @@ def _child_moment(conn, k):
 def test_forked_child_after_threaded_call(monkeypatch):
     # the pool lives only inside a call, so a fork after one inherits no
     # worker threads; the child runs its own threaded call
-    monkeypatch.setattr(harness, "_moment_threads", lambda q: 2)
-    monkeypatch.setattr(harness, "_MOMENT_PIECE", 1000)
+    monkeypatch.setattr(harness, "_moment_threads", lambda: 2)
+    monkeypatch.setattr(harness, "_MOMENT_CHUNK", 4099)  # prime: q = 31^3 is 8 chunks
     ctx = cached_field(31, 3, seed=0)
     want = harness.moment_sum(Character(ctx, 4321), range(1, 6), 3).value.hex()
     fork = multiprocessing.get_context("fork")

@@ -7,6 +7,7 @@ import pathlib
 import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -348,7 +349,14 @@ class TestPool:
         serial = self._csv(1)
         self._csv(2)
         old = _workers()
-        os.kill(next(iter(old)), signal.SIGKILL)
+        killed, pool = next(iter(old)), survey_mod._POOL[2]
+        os.kill(killed, signal.SIGKILL)
+        # the executor learns of the death on its own thread; until it does,
+        # the survivor could run the whole next call on the old pool
+        deadline = time.monotonic() + 30
+        while not (pool._broken or killed not in pool._processes):
+            assert time.monotonic() < deadline, "the pool did not see its worker die within 30 s"
+            time.sleep(0.01)
         assert self._csv(2) == serial
         assert len(_workers()) == 2 and set(_workers()).isdisjoint(old)
 
