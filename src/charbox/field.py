@@ -229,7 +229,7 @@ class FieldCtx:
 def _find_generator(ctx: FieldCtx) -> FqElem:
     """Smallest element (by index) of multiplicative order q - 1."""
     primes = list(factorize(ctx.q1))
-    for idx in range(2, ctx.q):
+    for idx in range(ctx.p if ctx.n >= 2 else 2, ctx.q):  # n >= 2: indices below p are F_p, orders divide p - 1
         a = ctx.decode(idx)
         if all(ctx.pow(a, ctx.q1 // r) != ctx.one() for r in primes):
             return a

@@ -19,7 +19,7 @@ import numpy as np
 
 from .boxes import Box, difference_box, scaled_box
 from .characters import Character, _subinterval_abs, interval_sums_scan
-from .energy import _pair_chunks, f_count, one_dim_f_counts, s_decomposition, tau_profile
+from .energy import _check_pairs, _pair_chunks, f_count, one_dim_f_counts, s_decomposition, tau_profile
 from .field import cached_field, is_generating
 from .harness import choose_parameters
 from .lattice import _dyadic_index, lambda1_star, minima_for_z
@@ -38,6 +38,7 @@ def _lambda1_key_table(box: Box) -> tuple[np.ndarray, int]:
     ordered pairs of nonzero difference-box elements."""
     ctx = box.ctx
     b0 = difference_box(box)
+    _check_pairs(b0.size**2)
     coords, idx = b0.coords_grid(), b0.element_indices()
     nz = idx != 0
     coords, idx = coords[nz], idx[nz]

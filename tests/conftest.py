@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from charbox import BasisMatrix, cached_field
@@ -36,3 +38,16 @@ def id_basis_31_2(f31_2):
 @pytest.fixture(scope="session")
 def id_basis_31_3(f31_3):
     return BasisMatrix.identity(f31_3)
+
+
+@pytest.fixture
+def traced_peak():
+    """traced_peak(fn): the tracemalloc peak, in bytes, of one call fn()."""
+    def peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak

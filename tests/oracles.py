@@ -341,3 +341,16 @@ def greedy_minima_scan(lattice, body, vecs: np.ndarray):
             if len(wits) == m:
                 break
     return lams, wits
+
+
+def smallest_generator(ctx) -> int:
+    """Index of the least element of multiplicative order q - 1, from the
+    orders of the candidates 1, 2, ... found by repeated multiplication."""
+    for idx in range(1, ctx.q):
+        a = ctx.decode(idx)
+        power, order = a, 1
+        while power != ctx.one():
+            power, order = ctx.mul(power, a), order + 1
+        if order == ctx.q - 1:
+            return idx
+    raise AssertionError("no generator")

@@ -1,6 +1,5 @@
 import importlib
 import math
-import tracemalloc
 from unittest import mock
 from fractions import Fraction
 from itertools import product
@@ -414,7 +413,7 @@ def test_energy_dilation_invariance_property(seeds, c_index):
     assert energy(ctx, elems).E == energy(ctx, [ctx.mul(c, e) for e in elems]).E
 
 
-def test_pair_kernels_memory_at_field_budget():
+def test_pair_kernels_memory_at_field_budget(traced_peak):
     # q = 4093^2 is near the 2^24 table budget, where one (q-1)-sized int64
     # histogram is 134 MB; a 6x6 box has 36^2 pairs and its difference box
     # 121^2, so the sorted-key kernels stay far below 8 MB
@@ -424,10 +423,57 @@ def test_pair_kernels_memory_at_field_budget():
     z = ctx.decode(12345)
     for run in (lambda: energy(ctx, box), lambda: tau_profile(box, b0),
                 lambda: ratio_set(ctx, box), lambda: f_count(ctx, box, z)):
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert traced_peak(run) < 8 * 2**20
+
+
+@pytest.mark.parametrize("modulus", [2**40, 1000])  # every key distinct; few distinct keys
+def test_pair_counts_memory_bound(monkeypatch, traced_peak, modulus):
+    # the docstring's bound on a call of 88 chunks: 9 B per pair plus 24 B
+    # per distinct key, plus one chunk (its keys and a floor-division temporary)
+    monkeypatch.setattr(energy_mod, "_CHUNK", 1 << 12)
+    rng = rng_for(0, 61)
+    left, right = rng.integers(0, modulus, size=700), rng.integers(0, modulus, size=500)
+    out = []
+    peak = traced_peak(lambda: out.append(energy_mod._pair_counts(left, right, -1, modulus)))
+    keys, counts = out[0]
+    pairs = left.size * right.size
+    assert int(counts.sum()) == pairs
+    assert peak <= 9 * pairs + 24 * len(keys) + 2 * 8 * (1 << 12) + 2**16
+
+
+class TestPairBudget:
+    """Every pair sweep obeys one budget, and a Box is refused by its size
+    before it is enumerated: B has 24 elements (576 pairs), B0 117 (13,689)."""
+
+    @pytest.fixture
+    def box(self, monkeypatch, id_basis_31_2):
+        box = Box(id_basis_31_2, (0, 0), (4, 6))
+
+        def enumerated(self):
+            raise AssertionError("box enumerated before the budget check")
+
+        monkeypatch.setattr(Box, "element_indices", enumerated)
+        monkeypatch.setattr(energy_mod, "PAIR_BUDGET", 575)
+        return box
+
+    def test_energy_and_ratio_set(self, f31_2, box):
+        for run in (energy, ratio_set):
+            with pytest.raises(EnergyBudgetError, match="^576 pairs exceed the pair budget of 575$"):
+                run(f31_2, box)
+
+    def test_s_decomposition_and_lambda1_table(self, box):
+        for run in (s_decomposition, _lambda1_key_table):
+            with pytest.raises(EnergyBudgetError, match="^13689 pairs exceed the pair budget of 575$"):
+                run(box)
+
+    def test_tau_profile(self, box):
+        # its largest sweep is B0's own ratio histogram
+        with pytest.raises(EnergyBudgetError, match="^13689 pairs exceed the pair budget of 575$"):
+            tau_profile(box, difference_box(box))
+
+    def test_budget_is_inclusive_and_f_count_is_unchecked(self, f31_2, id_basis_31_2, monkeypatch):
+        box = Box(id_basis_31_2, (0, 0), (4, 6))
+        monkeypatch.setattr(energy_mod, "PAIR_BUDGET", 576)
+        assert energy(f31_2, box).size == box.size
+        monkeypatch.setattr(energy_mod, "PAIR_BUDGET", 0)  # f_count sweeps no pairs
+        assert f_count(f31_2, box, f31_2.one()) == box.size

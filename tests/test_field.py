@@ -12,7 +12,7 @@ from charbox import (
     is_irreducible,
 )
 from charbox import field
-from oracles import inv_mod_p, min_poly_degree, seeded_basis
+from oracles import inv_mod_p, min_poly_degree, seeded_basis, smallest_generator
 
 
 class TestBuildField:
@@ -117,6 +117,13 @@ class TestDlog:
     def test_f5_generator_is_two(self, f5):
         # candidate 2: 2^4 = 1 and 2^2 = 4 != 1 mod 5
         assert f5.g == (2,)
+
+    @pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (7, 2), (13, 2), (3, 3), (5, 3), (7, 3)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_generator_is_smallest_by_index(self, p, n, seed):
+        # the search skips F_p (indices below p); the oracle walks every candidate
+        ctx = build_field(p, n, seed=seed)
+        assert ctx.encode(ctx.g) == smallest_generator(ctx)
 
     def test_dlog_of_one(self, f25):
         assert f25.dlog_of(f25.one()) == 0

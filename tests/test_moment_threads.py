@@ -14,7 +14,6 @@ import inspect
 import multiprocessing
 import pathlib
 import threading
-import tracemalloc
 import warnings
 
 import pytest
@@ -103,19 +102,13 @@ def test_default_chunks_at_real_size(monkeypatch, threads):
     assert (threading.get_ident() not in ran_on) == (threads > 1)
 
 
-def test_memory_peak_is_one_chunk_per_thread(monkeypatch):
+def test_memory_peak_is_one_chunk_per_thread(monkeypatch, traced_peak):
     # each chunk's working set is 12 MiB under tracemalloc; q = 101^3 is four
     # chunks, and two threads must hold no more than one chunk each
     ctx = cached_field(101, 3, seed=0)
     chi = Character(ctx, 4321)
     monkeypatch.setattr(harness, "_moment_threads", lambda: 2)
-    tracemalloc.start()
-    try:
-        harness.moment_sum(chi, range(1, 6), 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 26 * 2**20
+    assert traced_peak(lambda: harness.moment_sum(chi, range(1, 6), 3)) < 26 * 2**20
 
 
 @pytest.mark.parametrize("r", [154, 160])
