@@ -40,9 +40,7 @@ def _sorted_distinct(x: np.ndarray) -> np.ndarray:
 def _lex_grid(N: tuple[int, ...], H: tuple[int, ...]) -> np.ndarray:
     """Coordinate vectors of ranges N_i + 1 .. N_i + H_i, shape (prod H, len H),
     lexicographic order."""
-    axes = [np.arange(nn + 1, nn + hh + 1, dtype=np.int64) for nn, hh in zip(N, H)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    return np.indices(H, dtype=np.int64).reshape(len(H), -1).T + np.add(N, 1)
 
 
 def small_edge_cap(p: int) -> int:
@@ -161,17 +159,14 @@ def omega_line_intersection(box: Box) -> int:
 
 
 def subdivide_box(box: Box) -> list[Box]:
-    """Split every edge >= sqrt(p/2) into near-equal integer pieces below
-    sqrt(p/2); pieces of one edge differ in length by at most 1. At p <= 7
-    the cap is 1 and every piece is a single coordinate."""
+    """Split every edge into the fewest near-equal integer pieces of at most
+    small_edge_cap(p), ceil(H / cap) of them; pieces of one edge differ in
+    length by at most 1. At p <= 7 the cap is 1 and every piece is a single
+    coordinate."""
     cap = small_edge_cap(box.ctx.p)
-    threshold = math.sqrt(box.ctx.p / 2)
     per_axis: list[list[tuple[int, int]]] = []
     for nn, hh in zip(box.N, box.H):
-        if hh <= cap:
-            per_axis.append([(nn, hh)])
-            continue
-        k = min(math.ceil(hh / (threshold - 1)) if threshold > 1 else hh, hh)
+        k = -(-hh // cap)
         base, rem = divmod(hh, k)  # the first rem pieces get base + 1
         per_axis.append([(nn + j * base + min(j, rem), base + (j < rem)) for j in range(k)])
     return [Box(box.basis, *zip(*combo)) for combo in itertools.product(*per_axis)]

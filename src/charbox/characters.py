@@ -190,35 +190,26 @@ class TallBoxSplit:
 def tall_box_identity(chi: Character, box: Box) -> TallBoxSplit:
     """Both sides of the pull-out-omega_n factorization of the box sum.
 
-    lhs enumerates B directly; rhs evaluates chi(omega_n) times row-by-row
-    inner sums over the last coordinate at shifted generators. The two agree
-    up to roundoff for every box.
+    lhs is `box_char_sum` over B; rhs is chi(omega_n) times the row-by-row
+    inner sums over the last coordinate at shifted generators, one row per
+    point of the lexicographic grid of the first n - 1 axes, so the rhs never
+    enumerates B. The two agree up to roundoff for every box.
     """
-    if box.ctx.n < 2:
-        raise ValueError("tall box split needs n >= 2")
-    lhs = box_char_sum(chi, box)
-    rhs, inner_abs, outer = _tall_box_rhs(chi, box)
-    return TallBoxSplit(lhs, rhs, inner_abs, outer, float(inner_abs.max(initial=0.0)))
-
-
-def _tall_box_rhs(chi: Character, box: Box) -> tuple[complex, np.ndarray, np.ndarray]:
-    """(rhs, |inner sum| per outer row, outer coordinate rows) of the tall-box
-    split; the outer rows are the lexicographic grid of the first n - 1 axes,
-    so B itself is never enumerated here."""
     ctx = box.ctx
     n = ctx.n
+    if n < 2:
+        raise ValueError("tall box split needs n >= 2")
+    lhs = box_char_sum(chi, box)
     w_n = box.basis.omega(n)
     w_inv = ctx.inv(w_n)
-    ratios = [ctx.mul(box.basis.omega(i + 1), w_inv) for i in range(n - 1)]
-    ratio_mat = np.array(ratios, dtype=np.int64)  # (n-1, n) power-basis rows
+    ratio_mat = np.array([ctx.mul(box.basis.omega(i + 1), w_inv) for i in range(n - 1)],
+                         dtype=np.int64)  # (n-1, n) power-basis rows
 
     outer = _lex_grid(box.N[: n - 1], box.H[: n - 1])
-    base_coeffs = (outer % ctx.p) @ ratio_mat % ctx.p
-    base_idx = ctx.encode_array(base_coeffs)
-
+    base_idx = ctx.encode_array((outer % ctx.p) @ ratio_mat % ctx.p)
     ts = np.arange(box.N[n - 1] + 1, box.N[n - 1] + box.H[n - 1] + 1, dtype=np.int64)
     inner_idx = ctx.add_int_array(base_idx[:, None], ts)
-    inner_vals = chi.values_at(inner_idx.ravel()).reshape(inner_idx.shape)
-    inner = inner_vals.sum(axis=1)
+    inner = chi.values_at(inner_idx.ravel()).reshape(inner_idx.shape).sum(axis=1)
+    inner_abs = np.abs(inner)
     rhs = chi.value(w_n) * _fsum_complex(inner)
-    return rhs, np.abs(inner), outer
+    return TallBoxSplit(lhs, rhs, inner_abs, outer, float(inner_abs.max(initial=0.0)))

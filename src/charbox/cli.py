@@ -17,7 +17,7 @@ from .field import FieldError, build_field
 from .harness import RegimeError, burgess_trace, moment_sum
 from .lattice import DEFAULT_NODE_BUDGET, EnumerationBudgetError, classify_z, minima_for_z
 from .pilot import DEFAULT_FIXTURES_PATH, DEFAULT_PILOT_SEED, pilot_fixtures, write_fixtures
-from .sampling import _BOX_REGIMES, rng_for, sample_basis
+from .sampling import _BOX_REGIMES, rng_for, sample_basis, sample_ratio_z
 from .survey import ConfigError, ExperimentConfig, emit_report, run_config, theorem_survey
 
 
@@ -95,12 +95,8 @@ def _minima(args, ctx, basis, box, chi) -> tuple:
         b0_idx = difference_box(box).element_indices()
         nz = b0_idx[b0_idx != 0]
         rng = rng_for(args.seed, 31)
-        found = 0
-        while found < args.z_sweep:
-            xi, yi = (int(v) for v in rng.integers(0, len(nz), size=2))
-            z = ctx.div(ctx.decode(int(nz[yi])), ctx.decode(int(nz[xi])))
-            if ctx.in_prime_subfield(z):
-                continue
+        for _ in range(args.z_sweep):
+            z = sample_ratio_z(ctx, nz, rng)
             cls = classify_z(box, z, args.budget)
             outputs.append({
                 "z_index": ctx.encode(z), "j": cls.j, "j_star": cls.j_star,
@@ -108,7 +104,6 @@ def _minima(args, ctx, basis, box, chi) -> tuple:
                 "lambda1_star": str(cls.lambda1_star),
                 "recovered_ok": cls.recovered_z == z,
             })
-            found += 1
     return outputs, True
 
 

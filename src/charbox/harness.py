@@ -230,7 +230,6 @@ class BurgessTrace:
     true_sum: complex
     averaged_sum: complex
     shift_identity_error: float
-    shift_identity_bound: float
     max_sym_diff: int
     sym_diff_bound: float
     sum_tau: int
@@ -321,7 +320,6 @@ def burgess_trace(box: Box, chi: Character, eps: float) -> BurgessTrace:
         true_sum=true_sum,
         averaged_sum=averaged,
         shift_identity_error=identity_err,
-        shift_identity_bound=shift_bound,
         max_sym_diff=max_sym,
         sym_diff_bound=shift_bound,
         sum_tau=a1,

@@ -566,14 +566,14 @@ def classify_z(box: Box, z: FqElem, node_budget: int = DEFAULT_NODE_BUDGET) -> Z
     n = ctx.n
     if ctx.in_prime_subfield(z):
         raise ValueError("classification applies to z outside F_p")
-    lat = gamma_z(ctx, nb.basis, z)  # one Gamma_z (and one adjugate) for both minima
-    minima = successive_minima(lat, sup_box_body(nb.H), node_budget)
+    minima = minima_for_z(nb, z, node_budget)
     if minima.lambdas[0] > 1:
         raise ValueError("z is not in Z for this box (lambda_1 > 1)")
     weight = nb.H[n - 2] if n >= 2 else nb.H[0]
     j = _dyadic_index(weight * minima.lambdas[0])
 
-    lam_star, _wit = first_minimum(polar_of(lat), polar_body(nb.H), node_budget)
+    # the polar of the same Gamma_z: one lattice and one adjugate for both minima
+    lam_star, _wit = first_minimum(polar_of(minima.lattice), polar_body(nb.H), node_budget)
     j_star = None
     if lam_star <= 1:
         j_star = _dyadic_index(Fraction(ctx.p) * lam_star / nb.H[0])

@@ -22,8 +22,8 @@ from .characters import Character, _subinterval_abs, interval_sums_scan
 from .energy import _check_pairs, _pair_chunks, f_count, one_dim_f_counts, s_decomposition, tau_profile
 from .field import cached_field, is_generating
 from .harness import choose_parameters
-from .lattice import _dyadic_index, lambda1_star, minima_for_z
-from .sampling import rng_for, sample_basis, sample_box, sample_character
+from .lattice import classify_z
+from .sampling import rng_for, sample_basis, sample_box, sample_character, sample_ratio_z
 
 DEFAULT_PILOT_SEED = 20260801
 DEFAULT_FIXTURES_PATH = os.path.join("fixtures", "fixtures.json")
@@ -128,26 +128,17 @@ def pilot_fixtures(seed: int = DEFAULT_PILOT_SEED) -> dict:
                 b0_idx = b0.element_indices()
                 nz = b0_idx[b0_idx != 0]
                 for zi in range(Z_PER_BOX):
-                    zrng = rng_for(seed, p, n, bi, zi, 5)
-                    for _ in range(64):
-                        x_idx, y_idx = (int(v) for v in zrng.integers(0, len(nz), size=2))
-                        z = ctx.div(ctx.decode(int(nz[y_idx])), ctx.decode(int(nz[x_idx])))
-                        if not ctx.in_prime_subfield(z):
-                            break
-                    else:
-                        continue
-                    minima = minima_for_z(box, z)
+                    z = sample_ratio_z(ctx, nz, rng_for(seed, p, n, bi, zi, 5))
+                    cls = classify_z(box, z)  # box is normalized: the same Gamma_z and D
                     f0 = f_count(ctx, b0_idx, z)
-                    denom = math.prod(max(Fraction(1), 1 / lam) for lam in minima.lambdas)
+                    denom = math.prod(max(Fraction(1), 1 / lam) for lam in cls.lambdas)
                     k_c = max(k_c, float(Fraction(f0) / denom))
-                    lam_star, _ = lambda1_star(box, z)
-                    k_t = max(k_t, float(lam_star * minima.lambdas[-1]))
-                    if lam_star <= 1:
-                        j_star = max(0, _dyadic_index(Fraction(p) * lam_star / box.H[0]))
+                    k_t = max(k_t, float(cls.transference_product))
+                    if cls.j_star is not None:
                         # two candidate readings of the first dyadic breakpoint
                         polar_report.append(
                             {
-                                "p": p, "n": n, "H": list(box.H), "j_star": j_star,
+                                "p": p, "n": n, "H": list(box.H), "j_star": max(0, cls.j_star),
                                 "breakpoint_largest_edge": math.log2(box.H[-1] / box.H[0]),
                                 "breakpoint_middle_edge": math.log2(box.H[n - 2] / box.H[0]),
                             }

@@ -13,7 +13,7 @@ import numpy as np
 
 from .boxes import Box, small_edge_cap
 from .characters import Character
-from .field import BasisMatrix, FieldCtx, FieldError
+from .field import BasisMatrix, FieldCtx, FieldError, FqElem
 
 
 _BOX_REGIMES = ("any", "small", "tall", "admissible")
@@ -82,3 +82,15 @@ def sample_z(ctx: FieldCtx, rng: np.random.Generator, outside_prime_subfield: bo
         if outside_prime_subfield and ctx.in_prime_subfield(z):
             continue
         return z
+
+
+def sample_ratio_z(ctx: FieldCtx, nonzero: np.ndarray, rng: np.random.Generator) -> FqElem:
+    """z = y/x outside F_p for x, y drawn (x first) from the encoded nonzero
+    elements `nonzero`, redrawn until z leaves F_p. A difference box always
+    holds two F_p-independent elements (+-omega_1, +-omega_2), so at n >= 2
+    the draw ends."""
+    while True:
+        x, y = (ctx.decode(int(nonzero[i])) for i in rng.integers(0, len(nonzero), size=2))
+        z = ctx.div(y, x)
+        if not ctx.in_prime_subfield(z):
+            return z

@@ -48,7 +48,7 @@ from .boxes import (
     subdivide_box,
     omega_line_intersection,
 )
-from .characters import Character, _tall_box_rhs, box_char_sum
+from .characters import Character, box_char_sum, tall_box_identity
 from . import field
 from .field import cached_field
 from .sampling import _BOX_REGIMES, rng_for, sample_basis, sample_box, sample_character
@@ -192,7 +192,9 @@ def _survey_row_inner(task: dict) -> dict:
 
     eps = task["eps"]
     route = _route_for(box, eps)
-    total = box_char_sum(chi, box)  # B is enumerated once: its indices are cached on the box
+    # B is enumerated once: its indices are cached on the box
+    split = tall_box_identity(chi, box) if route == "tall" else None
+    total = split.lhs if split else box_char_sum(chi, box)
     checks: dict[str, bool] = {}
 
     if box.size <= 2**22:
@@ -204,7 +206,7 @@ def _survey_row_inner(task: dict) -> dict:
         checks["partition_sum"] = abs(piece_total - total) <= 1e-6
         checks["piece_edges"] = all(max(piece.H) <= small_edge_cap(p) for piece in pieces)
     elif route == "tall":
-        checks["tall_identity"] = abs(total - _tall_box_rhs(chi, box)[0]) <= 1e-6
+        checks["tall_identity"] = abs(total - split.rhs) <= 1e-6
         if n == 3 and box.H[0] * box.H[1] <= 2**18:
             nb = box.normalize()
             checks["degenerate_set"] = degenerate_pair_set(nb) == degenerate_pair_closed_form(nb)

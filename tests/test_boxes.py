@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -207,20 +208,26 @@ class TestSubdivision:
             merged = np.concatenate([piece.element_indices() for piece in pieces])
             assert sorted(merged.tolist()) == sorted(box.element_indices().tolist())
 
-    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101])
     def test_tiny_primes_partition_below_cap(self, p):
-        # at p <= 7 the near-equal piece count exceeds the edge; it is capped
+        # each axis splits into the fewest near-equal pieces of at most the cap,
+        # ceil(H / cap) of them; at p <= 7 the cap is 1 and every piece is one coordinate
         cap = small_edge_cap(p)
         basis = BasisMatrix.identity(cached_field(p, 2, seed=0))
-        for h0 in range(1, p + 1):
-            for h1 in range(cap + 1, p + 1):
-                box = Box(basis, (-2, p - 1), (h1, h0))
-                pieces = subdivide_box(box)
-                assert all(max(piece.H) <= cap for piece in pieces)
-                assert sum(piece.size for piece in pieces) == box.size
-                merged = np.concatenate([piece.coords_grid() for piece in pieces])
-                assert sorted(map(tuple, merged.tolist())) == sorted(map(tuple, box.coords_grid().tolist()))
-                lengths = {piece.H[0] for piece in pieces}
+        edges = range(1, p + 1)
+        # every edge pair at the tiny primes; at p = 101 each axis still runs through every H <= p
+        pairs = itertools.product(edges, edges) if p <= 13 else zip(edges, reversed(edges))
+        for h0, h1 in pairs:
+            box = Box(basis, (-2, p - 1), (h1, h0))
+            pieces = subdivide_box(box)
+            assert all(max(piece.H) <= cap for piece in pieces)
+            assert sum(piece.size for piece in pieces) == box.size
+            merged = np.concatenate([piece.coords_grid() for piece in pieces])
+            assert sorted(map(tuple, merged.tolist())) == sorted(map(tuple, box.coords_grid().tolist()))
+            for axis, h in enumerate(box.H):
+                splits = {(piece.N[axis], piece.H[axis]) for piece in pieces}
+                assert (len(splits) - 1) * cap < h <= len(splits) * cap
+                lengths = {length for _, length in splits}
                 assert max(lengths) - min(lengths) <= 1
 
 

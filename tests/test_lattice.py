@@ -23,7 +23,7 @@ from charbox import (
     sup_box_body,
 )
 from charbox.lattice import _dyadic_index
-from charbox.sampling import small_edge_cap, rng_for, sample_basis, sample_z
+from charbox.sampling import small_edge_cap, rng_for, sample_basis, sample_ratio_z, sample_z
 
 
 def unit_grid(dim):
@@ -49,6 +49,21 @@ def z_from_ratio_set(box, rng):
         z = ctx.div(ctx.decode(int(nz[yi])), ctx.decode(int(nz[xi])))
         if not ctx.in_prime_subfield(z):
             return z
+
+
+class TestSampleRatioZ:
+    @pytest.mark.parametrize("p, n, H", [(31, 2, (1, 2)), (31, 3, (2, 3, 1)), (61, 2, (4, 3))])
+    def test_matches_inline_draws_outside_prime_subfield(self, p, n, H):
+        ctx = cached_field(p, n, seed=0)
+        box = Box(sample_basis(ctx, rng_for(2, p, n)), (0,) * n, H)
+        idx = difference_box(box).element_indices()
+        nz = idx[idx != 0]
+        ours, ref = rng_for(1, 31), rng_for(1, 31)
+        for _ in range(25):
+            z = sample_ratio_z(ctx, nz, ours)
+            assert not ctx.in_prime_subfield(z)
+            assert z == z_from_ratio_set(box, ref)  # the inline draws sample_ratio_z replaces
+        assert ours.integers(2**62) == ref.integers(2**62)  # both streams stopped at one draw
 
 
 class TestMultMatrix:
@@ -275,6 +290,23 @@ class TestClassifyZ:
         z = z_from_ratio_set(box, rng)
         cls = classify_z(box, z)
         assert cls.s == sum(1 for lam in cls.lambdas if lam <= 1)
+
+    def test_matches_fresh_kernels(self):
+        for p, n in [(31, 2), (31, 3), (61, 2)]:
+            ctx = cached_field(p, n, seed=0)
+            rng = rng_for(3, p, n)
+            for _ in range(3):
+                cap = small_edge_cap(p)
+                box = Box(sample_basis(ctx, rng), tuple(int(v) for v in rng.integers(-p, p, size=n)),
+                          tuple(int(v) for v in rng.integers(1, cap + 1, size=n)))  # not normalized
+                z = z_from_ratio_set(box, rng)
+                cls = classify_z(box, z)
+                nb = box.normalize()
+                minima = minima_for_z(nb, z)
+                lam_star, _ = lambda1_star(nb, z)
+                assert cls.lambdas == minima.lambdas and cls.witness == minima.witnesses[0]
+                assert cls.lambda1_star == lam_star
+                assert cls.transference_product == lam_star * minima.lambdas[-1]
 
     def test_rejects_prime_subfield_z(self, f31_3):
         ctx = cached_field(31, 3, seed=0)

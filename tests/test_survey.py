@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from charbox import ExperimentConfig, cached_field, run_config, theorem_survey
-from charbox import field
+from charbox import characters, field
 from charbox import survey as survey_mod
 from charbox.boxes import Box, format_box_spec, small_edge_cap
 from charbox.characters import tall_box_identity
@@ -27,7 +27,8 @@ FAULT_ARGV = ["--p", "31,61", "--n", "2", "--random-boxes", "3", "--random-chars
 
 
 def _inject_fault(monkeypatch, target: dict) -> None:
-    """Make box_char_sum raise on the (character, box) of one clean row."""
+    """Make box_char_sum raise on the (character, box) of one clean row, both
+    where the survey calls it and where a tall row's `tall_box_identity` does."""
     real_sum = survey_mod.box_char_sum
 
     def faulty_sum(chi, box):
@@ -36,6 +37,7 @@ def _inject_fault(monkeypatch, target: dict) -> None:
         return real_sum(chi, box)
 
     monkeypatch.setattr(survey_mod, "box_char_sum", faulty_sum)
+    monkeypatch.setattr(characters, "box_char_sum", faulty_sum)
 
 
 def _workers() -> dict:
@@ -205,28 +207,22 @@ class TestOneEnumeration:
 
     def test_tall_flag_compares_the_public_split(self, monkeypatch):
         seen = {}
-        real_sum, real_rhs = survey_mod.box_char_sum, survey_mod._tall_box_rhs
+        real_split = survey_mod.tall_box_identity
 
-        def recording_sum(chi, box):
+        def recording_split(chi, box):
             seen["chi"], seen["box"] = chi, box
-            seen["lhs"] = real_sum(chi, box)
-            return seen["lhs"]
+            seen["split"] = real_split(chi, box)
+            return seen["split"]
 
-        def recording_rhs(chi, box):
-            res = real_rhs(chi, box)
-            seen["rhs"] = res[0]
-            return res
-
-        monkeypatch.setattr(survey_mod, "box_char_sum", recording_sum)
-        monkeypatch.setattr(survey_mod, "_tall_box_rhs", recording_rhs)
+        monkeypatch.setattr(survey_mod, "tall_box_identity", recording_split)
         cfg = ExperimentConfig(**{**ROUTE_GRID, "boxes": ROUTE_GRID["boxes"][2:]})
         (row,) = theorem_survey(cfg).rows
         assert row["route"] == "tall" and "tall_identity=P" in row["pass_flags"]
         box = seen["box"]
         split = tall_box_identity(seen["chi"], Box(box.basis, box.N, box.H))
         bits = lambda z: np.complex128(z).tobytes()
-        assert bits(split.lhs) == bits(seen["lhs"]) == bits(complex(row["sum_re"], row["sum_im"]))
-        assert bits(split.rhs) == bits(seen["rhs"])
+        assert bits(split.lhs) == bits(seen["split"].lhs) == bits(complex(row["sum_re"], row["sum_im"]))
+        assert bits(split.rhs) == bits(seen["split"].rhs)
 
 
 class TestCli:
