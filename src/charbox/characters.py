@@ -48,7 +48,7 @@ class Character:
 
     def values_at(self, idx: np.ndarray) -> np.ndarray:
         """chi at encoded elements; chi(0) = 0."""
-        dlogs = self.ctx.dlog[idx]
+        dlogs = self.ctx.dlog_at(idx)
         return self._of_dlogs(dlogs, dlogs < 0)
 
     def _of_dlogs(self, dlogs: np.ndarray, zero: np.ndarray) -> np.ndarray:
@@ -137,7 +137,7 @@ def complete_poly_char_sum(chi: Character, roots: list[tuple[FqElem, int]]) -> P
     acc = np.zeros(ctx.q, dtype=np.int64)
     zero_mask = np.zeros(ctx.q, dtype=bool)
     for z, e in roots:
-        dl = ctx.dlog[ctx.encode_array((digits + z) % ctx.p)]
+        dl = ctx.dlog_at(ctx.encode_array((digits + z) % ctx.p))
         zero_mask |= dl < 0
         acc = (acc + e * np.where(dl < 0, 0, dl)) % ctx.q1
     value = _fsum_complex(chi._of_dlogs(acc, zero_mask))

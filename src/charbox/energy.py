@@ -7,13 +7,15 @@ not q: about 9 B per pair plus 24 B per distinct key, plus one chunk. Every
 pair sweep obeys one budget (`_check_pairs`), checked before it allocates
 and, for a Box, before it is enumerated. The one modulus-sized array is the
 ratio histogram of a difference box (`_self_ratio_bincount`), whose pairs
-approach q. Inequality checks compare integers (squared where a bound has a
-square root), and the H_i < sqrt(p/2) hypothesis flag is the integer test
+approach q; it and its key buffer are kept per thread between calls.
+Inequality checks compare integers (squared where a bound has a square
+root), and the H_i < sqrt(p/2) hypothesis flag is the integer test
 H_i <= small_edge_cap(p).
 """
 
 from __future__ import annotations
 
+import threading
 import weakref
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -24,7 +26,7 @@ from .boxes import Box, _sorted_distinct, difference_box, small_edge_cap
 from .field import FieldCtx, FqElem
 
 PAIR_BUDGET = 2**28
-_CHUNK = 1 << 21  # pairs per chunk of a pairwise kernel
+_CHUNK = 1 << 16  # pairs per chunk of a pairwise kernel: 512 KiB of int64 keys, which stay in cache
 
 
 class EnergyBudgetError(RuntimeError):
@@ -57,27 +59,43 @@ def _pair_chunks(left_dlogs: np.ndarray, right_dlogs: np.ndarray, sign: int, mod
         yield rows, keys
 
 
+_SCRATCH = threading.local()
+
+
+def _scratch(name: str, size: int) -> np.ndarray:
+    """The first `size` entries of this thread's int64 buffer `name`, kept
+    between calls and grown when too short. Whether a fresh buffer this
+    large gets fresh pages from the OS depends on the allocator's history
+    (glibc's mmap threshold follows the largest block freed so far); when it
+    does, each 4 KiB costs a page fault, about as much as binning into it."""
+    buf = getattr(_SCRATCH, name, None)
+    if buf is None or len(buf) < size:
+        buf = np.empty(size, dtype=np.int64)
+        setattr(_SCRATCH, name, buf)
+    return buf[:size]
+
+
 def _self_ratio_bincount(dlogs: np.ndarray, modulus: int) -> np.ndarray:
     """The dense histogram of dlogs[i] - dlogs[j] mod modulus over all pairs
     (i, j) of dlogs in [0, modulus), from the pairs i < j of the sorted
     dlogs s only: s[j] - s[i] already lies in [0, modulus) and ascends along
     row i. The swap (j, i) of a pair has the key -k of (i, j), and the n
-    pairs (i, i) have key 0. Rows fill one buffer that is binned whenever it
-    holds _CHUNK keys or more."""
+    pairs (i, i) have key 0. Rows fill one key buffer that is binned
+    whenever it holds _CHUNK keys or more. Keys and histogram live in this
+    thread's `_scratch`: the result is overwritten by the thread's next call."""
     s = np.sort(dlogs)
     n = len(s)
-    buf = np.empty(min(_CHUNK + n, n * (n - 1) // 2), dtype=np.int64)
-    counts, fill = None, 0
+    buf = _scratch("keys", min(_CHUNK + n, n * (n - 1) // 2))
+    counts = _scratch("counts", modulus)
+    counts[:] = 0
+    fill = 0
     for i in range(n - 1):
         end = fill + n - 1 - i
         np.subtract(s[i + 1 :], s[i], out=buf[fill:end])
         fill = end
         if fill >= _CHUNK or i == n - 2:
-            binned = np.bincount(buf[:fill], minlength=modulus)
-            counts = binned if counts is None else np.add(counts, binned, out=counts)
+            np.add.at(counts, buf[:fill], 1)
             fill = 0
-    if counts is None:  # fewer than two dlogs
-        counts = np.zeros(modulus, dtype=np.int64)
     counts[1:] += counts[:0:-1]  # k -> -k; numpy buffers the overlapping operand
     counts[0] = 2 * counts[0] + n
     return counts
@@ -112,7 +130,7 @@ def _pair_energy(ctx: FieldCtx, idx: np.ndarray, sign: int):
     all four nonzero iff x/w = t/y."""
     m = len(idx)
     zeros = int(m > 0 and idx[0] == 0)
-    dlogs = ctx.dlog[idx[zeros:]]
+    dlogs = ctx.dlog_at(idx[zeros:])
     keys, counts = _pair_counts(dlogs, dlogs, sign, ctx.q1)
     r_zero = 2 * zeros * m - zeros
     return keys, counts, r_zero, int(counts @ counts) + r_zero * r_zero  # exact: E <= m^3 < 2^63
@@ -162,8 +180,8 @@ class EnergyProfile:
         out: dict[FqElem, int] = {}
         if self.r_zero:
             out[self.ctx.zero()] = self.r_zero
-        for d, c in zip(self._keys.tolist(), self._counts.tolist()):
-            out[self.ctx.decode(int(self.ctx.exp[d]))] = c
+        for e, c in zip(self.ctx.exp_at(self._keys).tolist(), self._counts.tolist()):
+            out[self.ctx.decode(e)] = c
         return out
 
     @property
@@ -184,16 +202,16 @@ def f_count(ctx: FieldCtx, elements: Iterable[FqElem] | Box | np.ndarray, z: FqE
     zeros = int(len(idx) > 0 and idx[0] == 0)
     if not any(z):
         return zeros * len(idx)  # x*0 = y forces y = 0
-    images = ctx.exp[(ctx.dlog[idx[zeros:]] + ctx.dlog_of(z)) % ctx.q1]
+    images = ctx.exp_at((ctx.dlog_at(idx[zeros:]) + ctx.dlog_of(z)) % ctx.q1)
     return int(np.isin(images, idx, assume_unique=True).sum()) + zeros
 
 
 def ratio_set(ctx: FieldCtx, elements: Iterable[FqElem] | Box | np.ndarray) -> set[FqElem]:
     """Z' = {y x^{-1} : x, y in S minus 0}."""
     idx = _as_indices(ctx, elements, swept=True)
-    dlogs = ctx.dlog[idx[idx != 0]]
+    dlogs = ctx.dlog_at(idx[idx != 0])
     keys, _ = _pair_counts(dlogs, dlogs, -1, ctx.q1)
-    return {ctx.decode(int(e)) for e in ctx.exp[keys]}
+    return {ctx.decode(int(e)) for e in ctx.exp_at(keys)}
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +252,9 @@ def _difference_ratio_histogram(ctx: FieldCtx, idx_b0: np.ndarray) -> np.ndarray
     """One period of the ratio histogram h_0 mod q - 1 of the difference box
     B0 (encoded elements idx_b0): h_0[d] is this array at d mod (q-1)/2.
     B0 = -B0 and dlog(-1) = (q-1)/2, so h_0 has that period and is twice the
-    histogram of the sign class {dlog < (q-1)/2} mod (q-1)/2."""
-    d_b0 = ctx.dlog[idx_b0[idx_b0 != 0]]
+    histogram of the sign class {dlog < (q-1)/2} mod (q-1)/2. The array is
+    this thread's scratch, overwritten by its next call."""
+    d_b0 = ctx.dlog_at(idx_b0[idx_b0 != 0])
     half = d_b0[d_b0 < ctx.q1 // 2]  # one of each pair {x, -x}: a quarter of the pairs
     h_0 = _self_ratio_bincount(half, ctx.q1 // 2)  # an eighth of the pairs swept
     h_0 *= 2
@@ -266,7 +285,7 @@ def s_decomposition(box: Box) -> RatioProfile:
     z_count = 2 * int(np.count_nonzero(h_0))
     s_total = 2 * int(h_0 @ h_0) + 4 * int(h_0.sum()) + z_count
     z_ints = np.arange(1, p, dtype=np.int64)  # F_p^*; z in F_p has index z
-    f0_prime = 1 + h_0[ctx.dlog[z_ints] % half]
+    f0_prime = 1 + h_0[ctx.dlog_at(z_ints) % half]
     s2 = int(f0_prime @ f0_prime)
     s1 = s_total - int((f0_prime[f0_prime > 1] ** 2).sum())
 
@@ -324,7 +343,7 @@ def tau_profile(box: Box, box0: Box) -> TauProfile:
     nz_b = idx_b[idx_b != 0]
     nz_b0 = idx_b0[idx_b0 != 0]
 
-    keys, counts = _pair_counts(ctx.dlog[nz_b], ctx.dlog[nz_b0], -1, ctx.q1)
+    keys, counts = _pair_counts(ctx.dlog_at(nz_b), ctx.dlog_at(nz_b0), -1, ctx.q1)
     tau_zero = (len(idx_b) - len(nz_b)) * len(nz_b0)
     sum_tau = int(counts.sum()) + tau_zero
     sum_tau_sq_nonzero = int(counts @ counts)

@@ -1,8 +1,9 @@
 """Exact arithmetic in F_p and F_{p^n} for n in {1, 2, 3}.
 
 Elements are coefficient tuples in the power basis of a monic irreducible
-modulus polynomial. Every field carries dense discrete-log and power tables
-built by one multiplicative sweep; characters read dlogs from them and
+modulus polynomial. Every field carries dense int32 discrete-log and power
+tables built by one multiplicative sweep and read as int64
+(`FieldCtx.dlog_at`, `exp_at`); characters read dlogs from them and
 evaluate chi only where asked. A basis matrix is inverted over F_p as its
 integer adjugate times det^-1 mod p (`charbox.intlinalg`). Fields are
 immutable after construction and safe to share between workers.
@@ -117,9 +118,14 @@ class FieldCtx:
         p, n, q: characteristic, degree, order q = p^n.
         modulus: monic degree-n coefficient tuple (low degree first).
         g: generator element (coefficient tuple).
-        dlog: int64 array of size q; dlog[encode(a)] = m with g^m = a,
-              and dlog[0] = -1.
-        exp: int64 array of size q-1; exp[m] = encode(g^m).
+        dlog: read-only int32 array of size q; dlog[encode(a)] = m with
+              g^m = a, and dlog[0] = -1.
+        exp: read-only int32 array of size q-1; exp[m] = encode(g^m).
+
+    The tables are int32 (every entry is below q <= 2^24), 8 bytes per
+    element of F_q. Kernels read them only through `dlog_at` and `exp_at`,
+    which return int64: products such as k * dlog reach 2^48, so no kernel
+    does arithmetic on int32 table entries.
     """
 
     def __init__(self, p: int, n: int, modulus: Sequence[int]):
@@ -130,8 +136,8 @@ class FieldCtx:
         self.modulus = tuple(int(c) % p for c in modulus[:-1]) + (1,)
         self._pow_vec = tuple(p**i for i in range(n))
         self.g: FqElem = ()
-        self.dlog: np.ndarray = np.empty(0)
-        self.exp: np.ndarray = np.empty(0)
+        self.dlog: np.ndarray = np.empty(0, dtype=np.int32)
+        self.exp: np.ndarray = np.empty(0, dtype=np.int32)
 
     # -- element plumbing ---------------------------------------------------
 
@@ -188,7 +194,7 @@ class FieldCtx:
     def inv(self, a: FqElem) -> FqElem:
         if not any(a):
             raise ZeroDivisionError("inverse of zero")
-        return self.decode(int(self.exp[-self.dlog[self.encode(a)] % self.q1]))  # 1/g^m = g^(-m)
+        return self.decode(int(self.exp_at(-self.dlog_of(a) % self.q1)))  # 1/g^m = g^(-m)
 
     def div(self, a: FqElem, b: FqElem) -> FqElem:
         return self.mul(a, self.inv(b))
@@ -196,7 +202,15 @@ class FieldCtx:
     def dlog_of(self, a: FqElem) -> int:
         if not any(a):
             raise ZeroDivisionError("dlog of zero")
-        return int(self.dlog[self.encode(a)])
+        return int(self.dlog_at(self.encode(a)))
+
+    def dlog_at(self, idx: int | np.ndarray | slice) -> np.ndarray:
+        """dlog at element indices (or a slice of them) as int64; -1 at 0."""
+        return _gather(self.dlog, idx)
+
+    def exp_at(self, m: int | np.ndarray | slice) -> np.ndarray:
+        """Element indices of g^m for m in [0, q - 1) as int64."""
+        return _gather(self.exp, m)
 
     def in_prime_subfield(self, a: FqElem) -> bool:
         return not any(a[1:])
@@ -226,6 +240,12 @@ class FieldCtx:
         return f"FieldCtx(p={self.p}, n={self.n}, modulus={self.modulus})"
 
 
+def _gather(table: np.ndarray, idx: int | np.ndarray | slice) -> np.ndarray:
+    """table[idx] of an int32 field table as int64: the one read of the tables,
+    behind `FieldCtx.dlog_at` and `exp_at`."""
+    return table[idx].astype(np.int64)
+
+
 def _find_generator(ctx: FieldCtx) -> FqElem:
     """Smallest element (by index) of multiplicative order q - 1."""
     primes = list(factorize(ctx.q1))
@@ -246,8 +266,8 @@ def _build_tables(ctx: FieldCtx) -> None:
         cur = ctx.mul(cur, ctx.g)
     step = ctx.mul_matrix_power_basis(ctx.pow(ctx.g, block)).T
 
-    dlog = np.full(ctx.q, -1, dtype=np.int64)
-    exp = np.empty(ctx.q1, dtype=np.int64)
+    dlog = np.full(ctx.q, -1, dtype=np.int32)  # int32 from the start: no int64 table is ever held
+    exp = np.empty(ctx.q1, dtype=np.int32)
     done = 0
     while done < ctx.q1:
         take = min(block, ctx.q1 - done)
@@ -257,7 +277,8 @@ def _build_tables(ctx: FieldCtx) -> None:
         done += take
         if done < ctx.q1:
             coeffs = (coeffs @ step) % ctx.p
-    if int((dlog >= 0).sum()) != ctx.q1:
+    chunk = 1 << 20  # counted in slices: a q-sized mask would add q bytes to the peak
+    if sum(int(np.count_nonzero(dlog[s : s + chunk] >= 0)) for s in range(0, ctx.q, chunk)) != ctx.q1:
         raise FieldError("dlog sweep did not cover F_q^* (generator order wrong)")
     dlog.setflags(write=False)
     exp.setflags(write=False)

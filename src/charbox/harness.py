@@ -17,6 +17,7 @@ import numpy as np
 from .boxes import Box, scaled_box, small_edge_cap
 from .characters import Character, _exact_column_sums, _fsum_complex, box_char_sum, exact_sum
 from .energy import tau_profile
+from .field import _gather
 
 R_CAP = 30
 INTERVAL_CAP = 10_000
@@ -193,11 +194,12 @@ def _moment_terms(chi: Character, interval: range, r: int, start: int, stop: int
     u sums the same values in the same order as a gather of chi(u + z)
     would. Runs on worker threads, as does the `_exact_column_sums` of its
     terms, so neither calls a public charbox function: a tracer that wraps
-    those keeps one span stack for the calling thread.
+    those keeps one span stack for the calling thread. So the rows' dlogs
+    come from `field._gather`, the int64 gather behind `FieldCtx.dlog_at`.
     """
     p = chi.ctx.p
     lo = start - start % p
-    dlogs = chi.ctx.dlog[lo : -(-stop // p) * p]
+    dlogs = _gather(chi.ctx.dlog, slice(lo, -(-stop // p) * p))
     rows = chi._of_dlogs(dlogs, dlogs < 0).reshape(-1, p)
     acc = np.empty_like(rows)
     for i, z in enumerate(interval):

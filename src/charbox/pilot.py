@@ -45,7 +45,7 @@ def _lambda1_key_table(box: Box) -> tuple[np.ndarray, int]:
     scale = math.lcm(*box.H)
     mult = np.array([scale // h for h in box.H], dtype=np.int64)
     keys = (np.abs(coords) * mult).max(axis=1)
-    dlogs = ctx.dlog[idx]
+    dlogs = ctx.dlog_at(idx)
 
     table = np.full(ctx.q1, np.iinfo(np.int64).max, dtype=np.int64)
     for rows, dd in _pair_chunks(dlogs, dlogs, -1, ctx.q1):  # dlog(y) - dlog(x)

@@ -200,18 +200,19 @@ def ratio_bincount_dense(dlogs, modulus):
     return counts
 
 
-def s_decomposition_dense(box):
+def s_decomposition_dense(box, dlog=None):
     """(profile, h_0): `energy.s_decomposition` with h_B and h_0 binned
     densely over all pairs mod q - 1 and every sum taken over (q-1)-sized
-    masks."""
+    masks, reading dlogs from an int64 table (default: `FieldCtx.dlog_at`)."""
     ctx = box.ctx
+    dlog = ctx.dlog_at(slice(None)) if dlog is None else dlog
     p = ctx.p
     hypothesis_ok = all(h < math.sqrt(p / 2) for h in box.H)
     idx_b = np.unique(box.element_indices())
     idx_b0 = np.unique(difference_box(box).element_indices())
     zero_in_b = bool((idx_b == 0).any())
-    d_b = ctx.dlog[idx_b[idx_b != 0]]
-    d_b0 = ctx.dlog[idx_b0[idx_b0 != 0]]
+    d_b = dlog[idx_b[idx_b != 0]]
+    d_b0 = dlog[idx_b0[idx_b0 != 0]]
     h_b, h_0 = (ratio_bincount_dense(d, ctx.q1) for d in (d_b, d_b0))
     e_b = energy_mod.energy(ctx, idx_b).E
     size = len(idx_b)

@@ -1,5 +1,7 @@
 import importlib
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 from fractions import Fraction
 from itertools import product
@@ -181,6 +183,21 @@ class TestPairSweep:
         assert got.dtype == expected.dtype and np.array_equal(got, expected)
         assert np.array_equal(dlogs, before)
 
+    def test_threads_bin_into_their_own_scratch(self):
+        # h_0 is binned into a histogram kept per thread: concurrent
+        # s_decomposition calls on two fields must not see each other's counts
+        boxes = [Box(sample_basis(cached_field(p, 3, seed=0), rng_for(7, p)), (1, -2, 3), (3, 3, 3))
+                 for p in (31, 61)]
+        want = [repr(s_decomposition(b)) for b in boxes]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                got = list(pool.map(lambda i: repr(s_decomposition(boxes[i % 2])), range(24), timeout=120))
+        finally:
+            sys.setswitchinterval(switch)
+        assert got == [want[i % 2] for i in range(24)]
+
     @settings(max_examples=40, deadline=None)
     @given(size=st.integers(0, 30), with_zero=st.booleans(), chunk=st.sampled_from([7, 100, 1 << 21]),
            seed=st.integers(0, 2**16))
@@ -191,7 +208,7 @@ class TestPairSweep:
         idx = np.unique(rng_for(seed, 42).integers(1, ctx.q, size=size))
         if with_zero:
             idx = np.concatenate([[0], idx])
-        dlogs = ctx.dlog[idx[idx != 0]]
+        dlogs = ctx.dlog_at(idx[idx != 0])
         dense = ratio_bincount_dense(dlogs, ctx.q1)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(energy_mod, "_CHUNK", chunk)

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from charbox import Box, Character, cached_field, tall_box_identity
+from charbox import Box, Character, cached_field, difference_box, f_count, s_decomposition, tall_box_identity
 from charbox import characters, harness
-from charbox.characters import box_char_sum, exact_sum
+from charbox.characters import box_char_sum, complete_poly_char_sum, exact_sum
 from charbox.sampling import rng_for, sample_basis, sample_box, sample_character
-from oracles import seeded_basis
+from oracles import s_decomposition_dense, seeded_basis
 
 
 def same_bits(a, b) -> bool:
@@ -112,9 +112,11 @@ class TestExactSumMatchesFsum:
 # the seed algorithm: one q-sized chi table per character, math.fsum
 
 
-def seed_table(chi):
+def seed_table(chi, dlog=None):
+    """chi on all of F_q from an int64 dlog table (default: `FieldCtx.dlog_at`)."""
     ctx = chi.ctx
-    table = np.exp((2j * np.pi / ctx.q1) * (chi.k * ctx.dlog % ctx.q1))
+    dlog = ctx.dlog_at(slice(None)) if dlog is None else dlog
+    table = np.exp((2j * np.pi / ctx.q1) * (chi.k * dlog % ctx.q1))
     table[0] = 0
     return table
 
@@ -183,3 +185,50 @@ def test_moment_chunks_split_rows():
     assert same_bits(got, seed_moment(table, ctx, range(1, 6), 3))
     box = Box(seeded_basis(ctx, 3), (5, -7, 11), (2, 3, 60))
     assert same_bits(box_char_sum(chi, box), seed_fsum_complex(table[box.element_indices()]))
+
+
+def seed_poly_char_sum(table, exp, dlog, ctx, roots):
+    """sum over u of chi(prod (u + z_i)^e_i) as table[g^m], m = sum e_i dlog(u + z_i)."""
+    digits = ctx.decode_array(np.arange(ctx.q))
+    m = np.zeros(ctx.q, dtype=np.int64)
+    zero = np.zeros(ctx.q, dtype=bool)
+    for z, e in roots:
+        d = dlog[ctx.encode_array((digits + z) % ctx.p)]
+        zero |= d < 0
+        m = (m + e * d) % ctx.q1
+    vals = table[exp[m]]
+    vals[zero] = 0
+    return seed_fsum_complex(vals)
+
+
+@pytest.mark.parametrize("k_back", [1, 2, 4321])
+def test_k_near_q_matches_int64_table_oracle(k_back):
+    # at (101, 3) k * dlog reaches 10^12, past int32: every kernel must
+    # upcast the int32 tables before that product, as this oracle's tables are
+    ctx = cached_field(101, 3, seed=0)
+    dlog, exp = ctx.dlog.astype(np.int64), ctx.exp.astype(np.int64)
+    chi = Character(ctx, ctx.q1 - k_back)
+    table = seed_table(chi, dlog)
+    rng = rng_for(23, k_back)
+    basis = sample_basis(ctx, rng)
+    for regime in ("small", "tall"):
+        box = sample_box(basis, rng, regime=regime)
+        assert same_bits(box_char_sum(chi, box), seed_fsum_complex(table[box.element_indices()]))
+        split = tall_box_identity(chi, box)
+        lhs, rhs, inner_abs = seed_tall_sides(chi, table, box)
+        assert same_bits(split.lhs, lhs) and same_bits(split.rhs, rhs)
+        assert same_bits(split.inner_abs, inner_abs)
+
+    roots = [(ctx.decode(int(exp[ctx.q1 - k_back])), 1), (ctx.decode(7), 2), (ctx.decode(ctx.q - 1), ctx.q1 - 5)]
+    got = complete_poly_char_sum(chi, roots).value
+    assert same_bits(got, seed_poly_char_sum(table, exp, dlog, ctx, roots))
+    assert same_bits(harness.moment_sum(chi, range(1, 4), 2).value, seed_moment(table, ctx, range(1, 4), 2))
+
+    small = Box(basis, (3, -2, 10), (3, 3, 3))
+    b0 = difference_box(small)
+    idx = b0.element_indices()
+    z = ctx.decode(int(exp[ctx.q1 - k_back]))  # dlog(z) near q - 1
+    nz = dlog[idx[idx != 0]]
+    pairs = int(((nz[:, None] + dlog[ctx.encode(z)]) % ctx.q1 == nz[None, :]).sum())
+    assert f_count(ctx, b0, z) == pairs + 1  # plus (0, 0)
+    assert repr(s_decomposition(small)) == repr(s_decomposition_dense(small, dlog)[0])

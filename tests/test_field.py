@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -155,6 +158,40 @@ class TestDlog:
             a = f31_2.decode(int(rng.integers(1, f31_2.q)))
             b = f31_2.decode(int(rng.integers(1, f31_2.q)))
             assert f31_2.dlog_of(f31_2.mul(a, b)) == (f31_2.dlog_of(a) + f31_2.dlog_of(b)) % q1
+
+
+class TestTables:
+    @pytest.mark.parametrize("p, n", [(31, 3), (4093, 2)])
+    def test_int32_read_only_tables_with_int64_accessors(self, traced_peak, p, n):
+        built = []
+        peak = traced_peak(lambda: built.append(build_field(p, n)))  # uncached, so the tables go with the test
+        ctx = built[0]
+        q1 = ctx.q1
+        for table in (ctx.dlog, ctx.exp):
+            assert table.dtype == np.int32 and not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[1] = 0
+        assert ctx.dlog[0] == -1
+        assert np.array_equal(ctx.dlog[ctx.exp], np.arange(q1, dtype=np.int32))
+        assert ctx.dlog.nbytes + ctx.exp.nbytes == 4 * (2 * ctx.q - 1)
+        idx, m = np.array([0, 1, ctx.q - 1]), np.array([0, 1, q1 - 1])
+        for got in (ctx.dlog_at(idx), ctx.dlog_at(slice(0, ctx.p)), ctx.exp_at(m), ctx.exp_at(slice(q1 - 3, None))):
+            assert got.dtype == np.int64
+        assert ctx.dlog_at(idx).tolist() == [int(ctx.dlog[i]) for i in idx]
+        assert ctx.dlog_at(ctx.exp_at(m)).tolist() == m.tolist()
+        assert ctx.exp_at(slice(q1 - 3, None)).tolist() == ctx.exp[-3:].tolist()
+        assert peak < 150 * 10**6  # the tables are 134 MB at (4093, 2): no q-sized temporary beside them
+
+    def test_only_field_subscripts_the_tables(self):
+        # every kernel reads the int32 tables through dlog_at / exp_at, which upcast to int64
+        src = Path(field.__file__).parent
+        offenders = [
+            f"{path.name}:{line_no}: {line.strip()}"
+            for path in sorted(src.glob("*.py")) if path.name != "field.py"
+            for line_no, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(r"\.(dlog|exp)\[", line)
+        ]
+        assert offenders == []
 
 
 class TestBasis:
