@@ -197,13 +197,19 @@ def energy(ctx: FieldCtx, elements: Iterable[FqElem] | Box | np.ndarray) -> Ener
 
 
 def f_count(ctx: FieldCtx, elements: Iterable[FqElem] | Box | np.ndarray, z: FqElem) -> int:
-    """#{(x, y) in S^2 : xz = y}, exact."""
+    """#{(x, y) in S^2 : xz = y}, exact.
+
+    Counted in dlog space: for x, y != 0, xz = y iff dlog x + dlog z =
+    dlog y mod q - 1, so the nonzero pairs are the dlogs of S that land on
+    dlogs of S when shifted by dlog z; no element is decoded. x = 0 pairs
+    only with y = 0, one more pair when 0 is in S.
+    """
     idx = _as_indices(ctx, elements)
     zeros = int(len(idx) > 0 and idx[0] == 0)
     if not any(z):
         return zeros * len(idx)  # x*0 = y forces y = 0
-    images = ctx.exp_at((ctx.dlog_at(idx[zeros:]) + ctx.dlog_of(z)) % ctx.q1)
-    return int(np.isin(images, idx, assume_unique=True).sum()) + zeros
+    dlogs = ctx.dlog_at(idx[zeros:])
+    return int(np.isin((dlogs + ctx.dlog_of(z)) % ctx.q1, dlogs, assume_unique=True).sum()) + zeros
 
 
 def ratio_set(ctx: FieldCtx, elements: Iterable[FqElem] | Box | np.ndarray) -> set[FqElem]:

@@ -1,12 +1,15 @@
 """Exact arithmetic in F_p and F_{p^n} for n in {1, 2, 3}.
 
 Elements are coefficient tuples in the power basis of a monic irreducible
-modulus polynomial. Every field carries dense int32 discrete-log and power
-tables built by one multiplicative sweep and read as int64
-(`FieldCtx.dlog_at`, `exp_at`); characters read dlogs from them and
-evaluate chi only where asked. A basis matrix is inverted over F_p as its
-integer adjugate times det^-1 mod p (`charbox.intlinalg`). Fields are
-immutable after construction and safe to share between workers.
+modulus polynomial. Every field carries one dense int32 discrete-log table,
+filled by one multiplicative sweep and read as int64 (`FieldCtx.dlog_at`);
+characters read dlogs from it and evaluate chi only where asked. Powers
+g^m are not tabled: `FieldCtx.exp_at` writes m = jB + r and multiplies the
+coordinates of g^r (baby steps) by the multiplication matrix of g^(jB)
+(giant steps), two tables of at most 4096 rows (sqrt(q) at the 2^24
+budget) that the sweep leaves behind. A basis matrix is inverted over F_p
+as its integer adjugate times det^-1 mod p (`charbox.intlinalg`). Fields
+are immutable after construction and safe to share between workers.
 """
 
 from __future__ import annotations
@@ -112,7 +115,7 @@ def _find_irreducible(p: int, n: int, seed: int) -> tuple[int, ...]:
 
 
 class FieldCtx:
-    """F_{p^n} with modulus, generator and dense dlog/exp tables.
+    """F_{p^n} with modulus, generator, a dense dlog table and g^m steps.
 
     Attributes:
         p, n, q: characteristic, degree, order q = p^n.
@@ -120,12 +123,19 @@ class FieldCtx:
         g: generator element (coefficient tuple).
         dlog: read-only int32 array of size q; dlog[encode(a)] = m with
               g^m = a, and dlog[0] = -1.
-        exp: read-only int32 array of size q-1; exp[m] = encode(g^m).
+        baby: read-only int64 (B, n); row r holds the coordinates of g^r,
+              for the sweep's block B = min(4096, q - 1).
+        giant: read-only int64 (ceil((q - 1) / B), n, n); giant[j] is the
+               multiplication matrix of g^(jB), so g^(jB + r) has the
+               coordinates giant[j] @ baby[r] mod p.
+        exp: empty read-only int32 array, kept for readers of its size;
+             `exp_at` computes g^m from baby and giant instead.
 
-    The tables are int32 (every entry is below q <= 2^24), 8 bytes per
-    element of F_q. Kernels read them only through `dlog_at` and `exp_at`,
-    which return int64: products such as k * dlog reach 2^48, so no kernel
-    does arithmetic on int32 table entries.
+    dlog is the one q-sized table: int32 (every entry is below q <= 2^24),
+    4 bytes per element of F_q. baby and giant hold O(sqrt(q) n^2)
+    integers at the budget. Kernels read dlog only through `dlog_at` and
+    powers only through `exp_at`, both int64: products such as k * dlog
+    reach 2^48, so no kernel does arithmetic on int32 table entries.
     """
 
     def __init__(self, p: int, n: int, modulus: Sequence[int]):
@@ -137,7 +147,10 @@ class FieldCtx:
         self._pow_vec = tuple(p**i for i in range(n))
         self.g: FqElem = ()
         self.dlog: np.ndarray = np.empty(0, dtype=np.int32)
+        self.baby: np.ndarray = np.empty((0, n), dtype=np.int64)
+        self.giant: np.ndarray = np.empty((0, n, n), dtype=np.int64)
         self.exp: np.ndarray = np.empty(0, dtype=np.int32)
+        self.exp.setflags(write=False)
 
     # -- element plumbing ---------------------------------------------------
 
@@ -209,8 +222,13 @@ class FieldCtx:
         return _gather(self.dlog, idx)
 
     def exp_at(self, m: int | np.ndarray | slice) -> np.ndarray:
-        """Element indices of g^m for m in [0, q - 1) as int64."""
-        return _gather(self.exp, m)
+        """Element indices of g^m as int64, for integers m or a slice of
+        [0, q - 1): with m = jB + r mod q - 1, g^m has the coordinates
+        giant[j] @ baby[r] mod p (entries below n p^2 < 2^48 before the mod)."""
+        if isinstance(m, slice):
+            m = np.arange(*m.indices(self.q1))
+        j, r = divmod(np.asarray(m, dtype=np.int64) % self.q1, len(self.baby))
+        return self.encode_array((self.giant[j] @ self.baby[r][..., None])[..., 0] % self.p)
 
     def in_prime_subfield(self, a: FqElem) -> bool:
         return not any(a[1:])
@@ -241,8 +259,8 @@ class FieldCtx:
 
 
 def _gather(table: np.ndarray, idx: int | np.ndarray | slice) -> np.ndarray:
-    """table[idx] of an int32 field table as int64: the one read of the tables,
-    behind `FieldCtx.dlog_at` and `exp_at`."""
+    """table[idx] of the int32 dlog table as int64: the one read of the table,
+    behind `FieldCtx.dlog_at`."""
     return table[idx].astype(np.int64)
 
 
@@ -257,36 +275,44 @@ def _find_generator(ctx: FieldCtx) -> FqElem:
 
 
 def _build_tables(ctx: FieldCtx) -> None:
-    """One multiplicative sweep g^0, g^1, ... done in matrix blocks."""
+    """One multiplicative sweep g^0, g^1, ... done in matrix blocks of B rows;
+    it fills dlog and keeps the first block (baby) and each block's first
+    row g^(jB), whose multiplication matrices are giant. Every matrix is
+    sum_k c_k M(X^k) mod p over the coordinates c of its element, so the
+    only Python products are the n that give M(X^k)."""
+    basis = np.stack([ctx.mul_matrix_power_basis(ctx.decode(w)) for w in ctx._pow_vec])  # M(X^k)
+
+    def mul_matrices(coords: np.ndarray) -> np.ndarray:  # entries < n p^2 < 2^48 before the mod
+        return np.tensordot(coords, basis, axes=1) % ctx.p
+
+    g = mul_matrices(np.asarray(ctx.g))  # M(g)
     block = min(4096, ctx.q1)
-    coeffs = np.empty((block, ctx.n), dtype=np.int64)
-    cur = ctx.one()
-    for r in range(block):
-        coeffs[r] = cur
-        cur = ctx.mul(cur, ctx.g)
-    step = ctx.mul_matrix_power_basis(ctx.pow(ctx.g, block)).T
+    baby = np.array([ctx.one()], dtype=np.int64)
+    while len(baby) < block:  # doubling: g^k ... g^(2k-1) = g^k * (g^0 ... g^(k-1)), g^k = g * g^(k-1)
+        baby = np.concatenate([baby, baby @ mul_matrices(g @ baby[-1] % ctx.p).T % ctx.p])[:block]
+    step = mul_matrices(g @ baby[-1] % ctx.p).T  # g^B
 
     dlog = np.full(ctx.q, -1, dtype=np.int32)  # int32 from the start: no int64 table is ever held
-    exp = np.empty(ctx.q1, dtype=np.int32)
-    done = 0
+    starts = np.empty((-(-ctx.q1 // block), ctx.n), dtype=np.int64)
+    coeffs, done = baby, 0
     while done < ctx.q1:
         take = min(block, ctx.q1 - done)
-        idx = ctx.encode_array(coeffs[:take])
-        dlog[idx] = np.arange(done, done + take)
-        exp[done : done + take] = idx
+        dlog[ctx.encode_array(coeffs[:take])] = np.arange(done, done + take)
+        starts[done // block] = coeffs[0]
         done += take
         if done < ctx.q1:
             coeffs = (coeffs @ step) % ctx.p
     chunk = 1 << 20  # counted in slices: a q-sized mask would add q bytes to the peak
     if sum(int(np.count_nonzero(dlog[s : s + chunk] >= 0)) for s in range(0, ctx.q, chunk)) != ctx.q1:
         raise FieldError("dlog sweep did not cover F_q^* (generator order wrong)")
-    dlog.setflags(write=False)
-    exp.setflags(write=False)
-    ctx.dlog, ctx.exp = dlog, exp
+    giant = mul_matrices(starts)
+    for table in (dlog, baby, giant):
+        table.setflags(write=False)
+    ctx.dlog, ctx.baby, ctx.giant = dlog, baby, giant
 
 
 def build_field(p: int, n: int, modulus: Sequence[int] | None = None, seed: int = 0) -> FieldCtx:
-    """Construct F_{p^n} with verified modulus, generator and dlog table."""
+    """Construct F_{p^n} with verified modulus, generator, dlog table and g^m steps."""
     if not is_prime(p):
         raise FieldError(f"p = {p} is not prime")
     if p == 2:

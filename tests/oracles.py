@@ -28,6 +28,14 @@ def seeded_basis(ctx, seed: int):
     return sample_basis(ctx, rng_for(seed, ctx.p, ctx.n, 7))
 
 
+def exp_table(ctx) -> np.ndarray:
+    """exp[m] = encode(g^m) for m in [0, q - 1) as int64: the inverse
+    permutation of the dlog table, which the field no longer stores."""
+    exp = np.empty(ctx.q1, dtype=np.int64)
+    exp[ctx.dlog[1:]] = np.arange(1, ctx.q)
+    return exp
+
+
 def energy_bruteforce(ctx, elements) -> int:
     """Quadruple-definition oracle, O(|B|^3)."""
     elems = list(elements)

@@ -25,7 +25,7 @@ from charbox.energy import EnergyBudgetError, one_dim_f_counts
 from charbox.lattice import minima_for_z
 from charbox.pilot import _lambda1_key_table
 from charbox.sampling import rng_for, sample_basis, sample_box
-from oracles import energy_bruteforce, ratio_bincount_dense
+from oracles import energy_bruteforce, exp_table, ratio_bincount_dense
 
 energy_mod = importlib.import_module("charbox.energy")  # the package re-exports a function `energy`
 
@@ -53,8 +53,9 @@ class TestEnergy:
         # the one key is dlog(sq): dlogs before and after it count 0
         d = ctx.dlog_of(sq)
         assert 0 < d - 1 and d + 1 < ctx.q1 - 1
+        exp = exp_table(ctx)
         for other in (0, d - 1, d + 1, ctx.q1 - 1):
-            assert prof.r(ctx.decode(int(ctx.exp[other]))) == 0
+            assert prof.r(ctx.decode(int(exp[other]))) == 0
         only_zero = energy(ctx, [ctx.zero()])  # no nonzero products, so no keys
         assert (only_zero.E, only_zero.r(ctx.zero()), only_zero.r(ctx.one()), only_zero.r(sq)) == (1, 1, 0, 0)
 
@@ -311,6 +312,7 @@ class TestSDecomposition:
     def test_ratio_set_and_f_count_read_h0(self, p, n):
         # the s_decomposition histogram h_0: Z = {h_0 > 0}, f_0(z) = 1 + h_0[dlog z]
         ctx = cached_field(p, n, seed=0)
+        exp = exp_table(ctx)
         rng = rng_for(2, 18, p, n)
         for _ in range(4):
             box = sample_box(sample_basis(ctx, rng), rng, regime="small")
@@ -318,10 +320,10 @@ class TestSDecomposition:
             period = energy_mod._difference_ratio_histogram(ctx, np.unique(b0.element_indices()))
             h_0 = np.tile(period, 2)  # the helper returns one period of h_0, (q-1)/2 long
             in_z = np.flatnonzero(h_0)
-            assert ratio_set(ctx, b0) == {ctx.decode(int(ctx.exp[d])) for d in in_z}
+            assert ratio_set(ctx, b0) == {ctx.decode(int(exp[d])) for d in in_z}
             sampled = rng.integers(0, ctx.q1, size=40)
             for d in np.concatenate([in_z[:40], sampled]):
-                z = ctx.decode(int(ctx.exp[d]))
+                z = ctx.decode(int(exp[d]))
                 assert f_count(ctx, b0, z) == 1 + h_0[d]
 
     def test_hypothesis_flag(self, f31_2, id_basis_31_2):
@@ -409,7 +411,8 @@ class TestTauProfile:
             if offset == (5, 5):  # B misses B0: the first key is past dlog 0, the last before q - 2
                 keys = sorted({ctx.dlog_of(ctx.div(x, y)) for x in b_elems for y in b0_nonzero})
                 assert 0 < keys[0] - 1 and keys[-1] + 1 < ctx.q1 - 1
-                edges = [ctx.decode(int(ctx.exp[d])) for d in (0, keys[0] - 1, keys[-1] + 1, ctx.q1 - 1)]
+                exp = exp_table(ctx)
+                edges = [ctx.decode(int(exp[d])) for d in (0, keys[0] - 1, keys[-1] + 1, ctx.q1 - 1)]
                 assert all(prof.tau_of(ctx, u) == 0 for u in edges)
                 us += edges
             for u in us:

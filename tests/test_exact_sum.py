@@ -12,7 +12,7 @@ from charbox import Box, Character, cached_field, difference_box, f_count, s_dec
 from charbox import characters, harness
 from charbox.characters import box_char_sum, complete_poly_char_sum, exact_sum
 from charbox.sampling import rng_for, sample_basis, sample_box, sample_character
-from oracles import s_decomposition_dense, seeded_basis
+from oracles import exp_table, s_decomposition_dense, seeded_basis
 
 
 def same_bits(a, b) -> bool:
@@ -206,7 +206,7 @@ def test_k_near_q_matches_int64_table_oracle(k_back):
     # at (101, 3) k * dlog reaches 10^12, past int32: every kernel must
     # upcast the int32 tables before that product, as this oracle's tables are
     ctx = cached_field(101, 3, seed=0)
-    dlog, exp = ctx.dlog.astype(np.int64), ctx.exp.astype(np.int64)
+    dlog, exp = ctx.dlog.astype(np.int64), exp_table(ctx)
     chi = Character(ctx, ctx.q1 - k_back)
     table = seed_table(chi, dlog)
     rng = rng_for(23, k_back)

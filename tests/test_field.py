@@ -1,4 +1,4 @@
-import re
+import ast
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +15,7 @@ from charbox import (
     is_irreducible,
 )
 from charbox import field
-from oracles import inv_mod_p, min_poly_degree, seeded_basis, smallest_generator
+from oracles import exp_table, inv_mod_p, min_poly_degree, seeded_basis, smallest_generator
 
 
 class TestBuildField:
@@ -167,31 +167,75 @@ class TestTables:
         peak = traced_peak(lambda: built.append(build_field(p, n)))  # uncached, so the tables go with the test
         ctx = built[0]
         q1 = ctx.q1
-        for table in (ctx.dlog, ctx.exp):
-            assert table.dtype == np.int32 and not table.flags.writeable
+        arrays = {name: v for name, v in vars(ctx).items() if isinstance(v, np.ndarray)}
+        assert [name for name, v in arrays.items() if v.size >= q1] == ["dlog"]
+        assert ctx.dlog.dtype == np.int32 and ctx.dlog.nbytes == 4 * ctx.q
+        assert ctx.exp.dtype == np.int32 and ctx.exp.nbytes == 0
+        assert ctx.baby.shape == (min(4096, q1), n) and ctx.giant.shape == (-(-q1 // 4096), n, n)
+        for table in arrays.values():
+            assert not table.flags.writeable
             with pytest.raises(ValueError):
-                table[1] = 0
+                table[...] = 0
         assert ctx.dlog[0] == -1
-        assert np.array_equal(ctx.dlog[ctx.exp], np.arange(q1, dtype=np.int32))
-        assert ctx.dlog.nbytes + ctx.exp.nbytes == 4 * (2 * ctx.q - 1)
         idx, m = np.array([0, 1, ctx.q - 1]), np.array([0, 1, q1 - 1])
         for got in (ctx.dlog_at(idx), ctx.dlog_at(slice(0, ctx.p)), ctx.exp_at(m), ctx.exp_at(slice(q1 - 3, None))):
             assert got.dtype == np.int64
         assert ctx.dlog_at(idx).tolist() == [int(ctx.dlog[i]) for i in idx]
         assert ctx.dlog_at(ctx.exp_at(m)).tolist() == m.tolist()
-        assert ctx.exp_at(slice(q1 - 3, None)).tolist() == ctx.exp[-3:].tolist()
-        assert peak < 150 * 10**6  # the tables are 134 MB at (4093, 2): no q-sized temporary beside them
+        assert ctx.dlog_at(ctx.exp_at(slice(q1 - 3, None))).tolist() == list(range(q1 - 3, q1))
+        assert peak < 75 * 10**6  # dlog is 67 MB at (4093, 2): no q-sized temporary beside it
 
     def test_only_field_subscripts_the_tables(self):
-        # every kernel reads the int32 tables through dlog_at / exp_at, which upcast to int64
+        # every kernel reads dlog through dlog_at (an int64 gather) and g^m
+        # through exp_at: no subscript of a table, no read of the empty .exp
         src = Path(field.__file__).parent
+        modules = {"np", "numpy", "math", "cmath"}
         offenders = [
-            f"{path.name}:{line_no}: {line.strip()}"
+            f"{path.name}:{node.lineno}: {ast.unparse(node)}"
             for path in sorted(src.glob("*.py")) if path.name != "field.py"
-            for line_no, line in enumerate(path.read_text().splitlines(), 1)
-            if re.search(r"\.(dlog|exp)\[", line)
+            for node in ast.walk(ast.parse(path.read_text()))
+            if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+                and node.value.attr in ("dlog", "exp"))
+            or (isinstance(node, ast.Attribute) and node.attr == "exp"
+                and not (isinstance(node.value, ast.Name) and node.value.id in modules))
         ]
         assert offenders == []
+
+
+class TestExpAt:
+    # (5, 1) and (7, 3): q - 1 below the block B = 4096; (12289, 1): q - 1 = 3B;
+    # (10007, 1) and (31, 3): q - 1 not a multiple of B
+    @pytest.mark.parametrize("p, n", [(5, 1), (7, 3), (3, 2), (12289, 1), (10007, 1), (31, 2), (31, 3)])
+    def test_every_m_matches_the_table_oracle(self, p, n):
+        ctx = cached_field(p, n, seed=0)
+        assert np.array_equal(ctx.exp_at(np.arange(ctx.q1)), exp_table(ctx))
+
+    @pytest.mark.parametrize("p, n", [(4093, 2), (211, 3), (16777213, 1)])
+    def test_random_m_matches_the_table_oracle(self, p, n):
+        ctx = build_field(p, n)  # uncached, so the table goes with the test
+        m = np.random.default_rng(p).integers(0, ctx.q1, size=10**5)
+        assert np.array_equal(ctx.exp_at(m), exp_table(ctx)[m])
+
+    def test_int_array_and_slice_give_int64(self, f31_3):
+        ctx, exp = f31_3, exp_table(f31_3)
+        m = np.array([[0, 4095], [4096, ctx.q1 - 1]])
+        for got, want in [
+            (ctx.exp_at(4097), exp[4097]),
+            (ctx.exp_at(np.int32(5)), exp[5]),
+            (ctx.exp_at(m), exp[m]),
+            (ctx.exp_at(slice(4090, 4100)), exp[4090:4100]),
+            (ctx.exp_at(slice(None, None, 997)), exp[::997]),
+        ]:
+            assert got.dtype == np.int64 and np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
+        assert ctx.exp_at(-1) == exp[-1] and ctx.exp_at(ctx.q1 + 7) == exp[7]  # g^m for any integer m
+
+    @pytest.mark.parametrize("p, n", [(5, 1), (31, 3), (4093, 2), (211, 3)])
+    def test_mul_by_inv_is_one(self, p, n):
+        ctx = cached_field(p, n, seed=0)
+        for idx in np.random.default_rng(n * p).integers(1, ctx.q, size=300):
+            a = ctx.decode(int(idx))
+            assert ctx.mul(a, ctx.inv(a)) == ctx.one()
 
 
 class TestBasis:
