@@ -39,8 +39,10 @@ def _sorted_distinct(x: np.ndarray) -> np.ndarray:
 
 def _lex_grid(N: tuple[int, ...], H: tuple[int, ...]) -> np.ndarray:
     """Coordinate vectors of ranges N_i + 1 .. N_i + H_i, shape (prod H, len H),
-    lexicographic order."""
-    return np.indices(H, dtype=np.int64).reshape(len(H), -1).T + np.add(N, 1)
+    lexicographic order; exact Python ints (object) where int64 would wrap."""
+    fits = all(-(2**63) <= nn and nn + hh < 2**63 for nn, hh in zip(N, H))
+    start = np.array([nn + 1 for nn in N], dtype=np.int64 if fits else object)
+    return np.indices(H, dtype=np.int64).reshape(len(H), -1).T + start
 
 
 def small_edge_cap(p: int) -> int:
@@ -97,7 +99,7 @@ class Box:
 
     @functools.cached_property
     def _element_indices(self) -> np.ndarray:
-        coords = self.coords_grid() % self.ctx.p
+        coords = np.asarray(self.coords_grid() % self.ctx.p, dtype=np.int64)
         idx = self.ctx.encode_array((coords @ self.basis.cols.T) % self.ctx.p)
         idx.setflags(write=False)
         return idx
@@ -187,14 +189,12 @@ def degenerate_pair_set(box: Box) -> set[tuple[int, int]]:
         raise BoxError("degenerate pair set is defined for n = 3 boxes")
     if box.H[0] * box.H[1] > _SCAN_BUDGET:
         raise BoxError("outer grid exceeds scan budget")
-    w3_inv = ctx.inv(box.basis.omega(3))
-    c1 = np.array(ctx.mul(box.basis.omega(1), w3_inv), dtype=np.int64)
-    c2 = np.array(ctx.mul(box.basis.omega(2), w3_inv), dtype=np.int64)
-    r1 = np.arange(box.N[0] + 1, box.N[0] + box.H[0] + 1, dtype=np.int64)
-    r2 = np.arange(box.N[1] + 1, box.N[1] + box.H[1] + 1, dtype=np.int64)
+    # c_i = omega_i/omega_3; the ranges as residues mod p, shifted back on return
+    c1, c2 = (ctx.mul_matrix(ctx.inv(box.basis.omega(3))) @ box.basis.cols[:, :2] % ctx.p).T
+    r1, r2 = (np.arange(box.H[i], dtype=np.int64) + box.N[i] % ctx.p + 1 for i in range(2))
     # coefficients of x1*c1 + x2*c2 beyond the constant one must vanish
     tail = (
         r1[:, None, None] * c1[None, None, 1:] + r2[None, :, None] * c2[None, None, 1:]
     ) % ctx.p
     bad = np.argwhere((tail == 0).all(axis=2))
-    return {(int(r1[i]), int(r2[j])) for i, j in bad}
+    return {(box.N[0] + 1 + int(i), box.N[1] + 1 + int(j)) for i, j in bad}

@@ -201,13 +201,11 @@ def tall_box_identity(chi: Character, box: Box) -> TallBoxSplit:
         raise ValueError("tall box split needs n >= 2")
     lhs = box_char_sum(chi, box)
     w_n = box.basis.omega(n)
-    w_inv = ctx.inv(w_n)
-    ratio_mat = np.array([ctx.mul(box.basis.omega(i + 1), w_inv) for i in range(n - 1)],
-                         dtype=np.int64)  # (n-1, n) power-basis rows
+    ratios = ctx.mul_matrix(ctx.inv(w_n)) @ box.basis.cols[:, : n - 1] % ctx.p  # omega_i/omega_n
 
     outer = _lex_grid(box.N[: n - 1], box.H[: n - 1])
-    base_idx = ctx.encode_array((outer % ctx.p) @ ratio_mat % ctx.p)
-    ts = np.arange(box.N[n - 1] + 1, box.N[n - 1] + box.H[n - 1] + 1, dtype=np.int64)
+    base_idx = ctx.encode_array(np.asarray(outer % ctx.p, dtype=np.int64) @ ratios.T % ctx.p)
+    ts = np.arange(box.H[n - 1], dtype=np.int64) + (box.N[n - 1] % ctx.p + 1)  # t mod p suffices
     inner_idx = ctx.add_int_array(base_idx[:, None], ts)
     inner = chi.values_at(inner_idx.ravel()).reshape(inner_idx.shape).sum(axis=1)
     inner_abs = np.abs(inner)

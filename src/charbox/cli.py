@@ -212,6 +212,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        for dest in ("seed", "basis_seed"):  # numpy seeds take no negative entropy
+            if getattr(args, dest, 0) < 0:
+                raise ConfigError(f"--{dest.replace('_', '-')} must be >= 0, got {getattr(args, dest)}")
         if "execute" in args:
             return args.execute(args)
         payload, ok = args.report(args, *_objects(args))

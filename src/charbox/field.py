@@ -1,19 +1,23 @@
 """Exact arithmetic in F_p and F_{p^n} for n in {1, 2, 3}.
 
 Elements are coefficient tuples in the power basis of a monic irreducible
-modulus polynomial. Every field carries one dense int32 discrete-log table,
-filled by one multiplicative sweep and read as int64 (`FieldCtx.dlog_at`);
-characters read dlogs from it and evaluate chi only where asked. Powers
-g^m are not tabled: `FieldCtx.exp_at` writes m = jB + r and multiplies the
-coordinates of g^r (baby steps) by the multiplication matrix of g^(jB)
-(giant steps), two tables of at most 4096 rows (sqrt(q) at the 2^24
-budget) that the sweep leaves behind. A basis matrix is inverted over F_p
-as its integer adjugate times det^-1 mod p (`charbox.intlinalg`). Fields
-are immutable after construction and safe to share between workers.
+modulus polynomial. One kernel multiplies, the regular representation
+M(a) = sum_k a_k C^k (C the companion matrix of the modulus, C^k built once
+per field): `FieldCtx.mul_matrix` over arrays, `FieldCtx.mul` in Python ints.
+Every field carries one dense int32 discrete-log table, filled by one
+multiplicative sweep and read as int64 (`FieldCtx.dlog_at`); characters read
+dlogs from it and evaluate chi only where asked. Powers g^m are not tabled:
+`FieldCtx.exp_at` writes m = jB + r and multiplies the coordinates of g^r
+(baby steps) by the multiplication matrix of g^(jB) (giant steps), two
+tables of at most 4096 rows (sqrt(q) at the 2^24 budget) that the sweep
+leaves behind. A basis matrix is inverted over F_p as its integer adjugate
+times det^-1 mod p (`charbox.intlinalg`). Fields are immutable after
+construction and safe to share between workers.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -46,40 +50,6 @@ def factorize(m: int) -> dict[int, int]:
     if m > 1:
         out[m] = out.get(m, 0) + 1
     return out
-
-
-# ---------------------------------------------------------------------------
-# polynomial helpers over F_p (coefficient lists, low degree first)
-
-
-def _ptrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _pmod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
-    """a modulo the monic polynomial m over F_p."""
-    a = _ptrim([c % p for c in a])
-    dm = len(m) - 1
-    while len(a) - 1 >= dm:
-        c = a[-1]
-        shift = len(a) - 1 - dm
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - c * mi) % p
-        a = _ptrim(a)
-    return a
 
 
 def is_irreducible(modulus: Sequence[int], p: int) -> bool:
@@ -120,6 +90,9 @@ class FieldCtx:
     Attributes:
         p, n, q: characteristic, degree, order q = p^n.
         modulus: monic degree-n coefficient tuple (low degree first).
+        x_powers: read-only int64 (n, n, n); x_powers[k] = C^k = M(X^k), C the
+                  companion matrix of the modulus; `mul` and `mul_matrix`
+                  multiply through M(a) = sum_k a_k C^k and nothing else.
         g: generator element (coefficient tuple).
         dlog: read-only int32 array of size q; dlog[encode(a)] = m with
               g^m = a, and dlog[0] = -1.
@@ -145,6 +118,14 @@ class FieldCtx:
         self.q1 = self.q - 1
         self.modulus = tuple(int(c) % p for c in modulus[:-1]) + (1,)
         self._pow_vec = tuple(p**i for i in range(n))
+        comp = np.eye(n, k=-1, dtype=np.int64)  # companion matrix C: C @ coords(a) = coords(X a)
+        comp[:, -1] = [-c % p for c in self.modulus[:-1]]
+        powers = [np.eye(n, dtype=np.int64)]  # M(X^k) = C^k
+        for _ in range(n - 1):
+            powers.append(comp @ powers[-1] % p)
+        self.x_powers = np.stack(powers)
+        self.x_powers.setflags(write=False)
+        self._mul_rows = self.x_powers.transpose(1, 0, 2).reshape(n, n * n).tolist()  # [i][kn + j]
         self.g: FqElem = ()
         self.dlog: np.ndarray = np.empty(0, dtype=np.int32)
         self.baby: np.ndarray = np.empty((0, n), dtype=np.int64)
@@ -189,8 +170,9 @@ class FieldCtx:
         return tuple((x - y) % self.p for x, y in zip(a, b))
 
     def mul(self, a: FqElem, b: FqElem) -> FqElem:
-        prod = _pmod(_pmul(a, b, self.p), self.modulus, self.p)
-        return tuple(prod) + (0,) * (self.n - len(prod))
+        """M(a) @ b in Python ints: coordinate i is sum_{k,j} M(X^k)[i, j] a_k b_j mod p."""
+        ab = [x * y for x in a for y in b]
+        return tuple(sum(map(operator.mul, row, ab)) % self.p for row in self._mul_rows)
 
     def pow(self, a: FqElem, e: int) -> FqElem:
         if e < 0:
@@ -249,10 +231,10 @@ class FieldCtx:
         """Element indices, any shape -> coefficients, one more axis of n."""
         return np.asarray(idx, dtype=np.int64)[..., None] // np.asarray(self._pow_vec) % self.p
 
-    def mul_matrix_power_basis(self, c: FqElem) -> np.ndarray:
-        """n x n matrix M with M @ coeffs(x) = coeffs(c * x) mod p."""
-        cols = [self.mul(c, self.decode(self._pow_vec[i])) for i in range(self.n)]
-        return np.array(cols, dtype=np.int64).T
+    def mul_matrix(self, coords: FqElem | np.ndarray) -> np.ndarray:
+        """M(c) = sum_k c_k M(X^k) mod p, so M(c) @ coords(x) = coords(c x) mod p;
+        coords (..., n) reduced mod p give (..., n, n) (below n p^2 < 2^48 unreduced)."""
+        return np.tensordot(np.asarray(coords, dtype=np.int64), self.x_powers, axes=1) % self.p
 
     def __repr__(self) -> str:
         return f"FieldCtx(p={self.p}, n={self.n}, modulus={self.modulus})"
@@ -277,20 +259,14 @@ def _find_generator(ctx: FieldCtx) -> FqElem:
 def _build_tables(ctx: FieldCtx) -> None:
     """One multiplicative sweep g^0, g^1, ... done in matrix blocks of B rows;
     it fills dlog and keeps the first block (baby) and each block's first
-    row g^(jB), whose multiplication matrices are giant. Every matrix is
-    sum_k c_k M(X^k) mod p over the coordinates c of its element, so the
-    only Python products are the n that give M(X^k)."""
-    basis = np.stack([ctx.mul_matrix_power_basis(ctx.decode(w)) for w in ctx._pow_vec])  # M(X^k)
-
-    def mul_matrices(coords: np.ndarray) -> np.ndarray:  # entries < n p^2 < 2^48 before the mod
-        return np.tensordot(coords, basis, axes=1) % ctx.p
-
-    g = mul_matrices(np.asarray(ctx.g))  # M(g)
+    row g^(jB), whose multiplication matrices are giant. Every matrix comes
+    from `FieldCtx.mul_matrix`, so the sweep makes no scalar product."""
+    g = ctx.mul_matrix(ctx.g)  # M(g)
     block = min(4096, ctx.q1)
     baby = np.array([ctx.one()], dtype=np.int64)
     while len(baby) < block:  # doubling: g^k ... g^(2k-1) = g^k * (g^0 ... g^(k-1)), g^k = g * g^(k-1)
-        baby = np.concatenate([baby, baby @ mul_matrices(g @ baby[-1] % ctx.p).T % ctx.p])[:block]
-    step = mul_matrices(g @ baby[-1] % ctx.p).T  # g^B
+        baby = np.concatenate([baby, baby @ ctx.mul_matrix(g @ baby[-1] % ctx.p).T % ctx.p])[:block]
+    step = ctx.mul_matrix(g @ baby[-1] % ctx.p).T  # g^B
 
     dlog = np.full(ctx.q, -1, dtype=np.int32)  # int32 from the start: no int64 table is ever held
     starts = np.empty((-(-ctx.q1 // block), ctx.n), dtype=np.int64)
@@ -305,7 +281,7 @@ def _build_tables(ctx: FieldCtx) -> None:
     chunk = 1 << 20  # counted in slices: a q-sized mask would add q bytes to the peak
     if sum(int(np.count_nonzero(dlog[s : s + chunk] >= 0)) for s in range(0, ctx.q, chunk)) != ctx.q1:
         raise FieldError("dlog sweep did not cover F_q^* (generator order wrong)")
-    giant = mul_matrices(starts)
+    giant = ctx.mul_matrix(starts)
     for table in (dlog, baby, giant):
         table.setflags(write=False)
     ctx.dlog, ctx.baby, ctx.giant = dlog, baby, giant
@@ -383,7 +359,7 @@ class BasisMatrix:
         return tuple(int(c) for c in self.cols[:, i - 1])
 
     def elem_from_coords(self, x: Sequence[int]) -> FqElem:
-        v = np.asarray(x, dtype=np.int64) % self.ctx.p
+        v = np.array([int(c) % self.ctx.p for c in x], dtype=np.int64)  # any integers, no wrap
         return tuple(int(c) for c in (self.cols @ v) % self.ctx.p)
 
     def coords_of(self, a: FqElem) -> tuple[int, ...]:

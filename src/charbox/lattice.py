@@ -491,21 +491,16 @@ def first_minimum(
 
 
 def mult_matrix(ctx: FieldCtx, basis: BasisMatrix, z: FqElem) -> np.ndarray:
-    """A_z with coords(z * x) = A_z @ coords(x) mod p, coords in the omega basis."""
-    cols = [basis.coords_of(ctx.mul(z, basis.omega(i + 1))) for i in range(ctx.n)]
-    return np.array(cols, dtype=np.int64).T
+    """A_z with coords(z * x) = A_z @ coords(x) mod p, coords in the omega basis:
+    A_z = inv_cols @ M(z) @ cols mod p, entries in [0, p)."""
+    return basis.inv_cols @ (ctx.mul_matrix(z) @ basis.cols % ctx.p) % ctx.p
 
 
 def gamma_z(ctx: FieldCtx, basis: BasisMatrix, z: FqElem) -> IntLattice:
     """{(x, y) in Z^{2n} : z * (sum x_i omega_i) = sum y_i omega_i mod p}."""
-    n = ctx.n
-    a = mult_matrix(ctx, basis, z) % ctx.p
-    rows = []
-    for i in range(n):
-        rows.append(tuple(int(i == j) for j in range(n)) + tuple(int(v) for v in a[:, i]))
-    for j in range(n):
-        rows.append((0,) * n + tuple(ctx.p * int(j == k) for k in range(n)))
-    return IntLattice(tuple(rows))
+    eye = np.eye(ctx.n, dtype=np.int64)  # rows (e_i, A_z e_i), then (0, p e_j)
+    rows = np.block([[eye, mult_matrix(ctx, basis, z).T], [0 * eye, ctx.p * eye]])
+    return IntLattice(tuple(map(tuple, rows.tolist())))
 
 
 def gamma_z_contains(ctx: FieldCtx, basis: BasisMatrix, z: FqElem, vec: Sequence[int]) -> bool:

@@ -92,6 +92,8 @@ class ExperimentConfig:
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.seed < 0 or self.basis_seed < 0:
+            raise ConfigError(f"seed and basis_seed must be >= 0, got {self.seed}, {self.basis_seed}")
         if self.boxes is None and self.random_boxes < 1 and self.p_list:
             raise ConfigError("need explicit boxes or random_boxes >= 1")
         if self.char_indices is None and self.random_chars < 1 and self.p_list:

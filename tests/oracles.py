@@ -363,3 +363,18 @@ def smallest_generator(ctx) -> int:
         if order == ctx.q - 1:
             return idx
     raise AssertionError("no generator")
+
+
+def mul_schoolbook(a, b, modulus, p) -> tuple:
+    """a * b in F_p[X]/(modulus) in Python ints: the polynomial product, then
+    long division by the monic modulus (low degree first)."""
+    n = len(modulus) - 1
+    prod = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    for d in range(2 * n - 2, n - 1, -1):  # subtract prod[d] X^(d - n) modulus(X)
+        c = prod[d]
+        for i, mi in enumerate(modulus):
+            prod[d - n + i] -= c * mi
+    return tuple(c % p for c in prod[:n])

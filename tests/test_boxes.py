@@ -9,6 +9,8 @@ from charbox import (
     BasisMatrix,
     Box,
     BoxError,
+    Character,
+    box_char_sum,
     cached_field,
     degenerate_pair_closed_form,
     degenerate_pair_set,
@@ -18,6 +20,7 @@ from charbox import (
     parse_box_spec,
     scaled_box,
     subdivide_box,
+    tall_box_identity,
 )
 from charbox.boxes import _sorted_distinct
 from charbox.sampling import rng_for, sample_basis, small_edge_cap
@@ -274,6 +277,63 @@ class TestDegeneratePairs:
     def test_needs_three_dimensions(self, f31_2, id_basis_31_2):
         with pytest.raises(BoxError):
             degenerate_pair_set(Box(id_basis_31_2, (0, 0), (2, 2)))
+
+
+class TestOffsetsModP:
+    """Offsets are arbitrary integers: every index, sum and pair set equals
+    that of the box at the residues N_i mod p, apart from the shift of the
+    true coordinates, however far the offsets lie outside int64."""
+
+    @staticmethod
+    def _check_against_residue_box(box):
+        ctx = box.ctx
+        shift = [nn - nn % ctx.p for nn in box.N]
+        res = Box(box.basis, tuple(nn % ctx.p for nn in box.N), box.H)
+        assert np.array_equal(box.element_indices(), res.element_indices())
+        assert box.element_indices().dtype == np.int64
+        chi = Character(ctx, 7)
+        assert box_char_sum(chi, box) == box_char_sum(chi, res)
+        split, split_res = tall_box_identity(chi, box), tall_box_identity(chi, res)
+        assert (split.lhs, split.rhs, split.max_inner_abs) == (split_res.lhs, split_res.rhs, split_res.max_inner_abs)
+        assert np.array_equal(split.inner_abs, split_res.inner_abs)
+        assert (split.outer_coords - np.array(shift[:-1], dtype=object)).tolist() == split_res.outer_coords.tolist()
+        if ctx.n == 3:
+            pairs = degenerate_pair_set(box)
+            assert pairs == {(x + shift[0], y + shift[1]) for x, y in degenerate_pair_set(res)}
+            assert pairs == degenerate_pair_closed_form(box)
+            return pairs
+
+    @pytest.mark.parametrize("big", [2**63 - 2, 2**63 - 1, 2**63, -(2**63), -(2**63) - 5, 10**30, -(10**30)])
+    def test_far_offsets_match_the_residue_box(self, f31_3, big):
+        basis = seeded_basis(f31_3, 3)
+        # residues 29 and 28: both outer ranges hold a multiple of p, so the pair set is not empty
+        N = tuple(b - b % 31 + r for b, r in zip((big, -big, big + 5), (29, 28, 3)))
+        pairs = self._check_against_residue_box(Box(basis, N, (3, 4, 5)))
+        assert pairs == {(N[0] + 2, N[1] + 3)}
+        self._check_against_residue_box(Box(basis, (big, big - 1, -big), (2, 6, 9)))
+
+    def test_int64_edge_offset_n2(self, f31_2):
+        # the first offset of 9223372036854775806:3,0:3 once wrapped in the grid's int64 sum
+        box = Box(seeded_basis(f31_2, 1), (2**63 - 2, 0), (3, 3))
+        self._check_against_residue_box(box)
+        assert box.coords_grid()[:, 0].tolist() == [2**63 - 1] * 3 + [2**63] * 3 + [2**63 + 1] * 3
+
+    @settings(max_examples=30, deadline=None)
+    @given(axis=st.integers(0, 2), seed=st.integers(0, 10**6),
+           offsets=st.tuples(*[st.one_of(st.integers(-100, 100), st.integers(-(10**20), 10**20))] * 3))
+    def test_full_edge_h_equals_p(self, axis, seed, offsets):
+        # H_i = p covers every residue on axis i once: the box stays a set of
+        # distinct elements and every route agrees with the residue box
+        ctx = cached_field(31, 3, seed=0)
+        rng = rng_for(seed, 8)
+        H = [int(v) for v in rng.integers(1, 5, size=3)]
+        H[axis] = ctx.p
+        box = Box(sample_basis(ctx, rng), offsets, tuple(H))
+        assert len(np.unique(box.element_indices())) == box.size
+        self._check_against_residue_box(box)
+        assert omega_line_intersection(box) == omega_line_count_bruteforce(box)
+        split = tall_box_identity(Character(ctx, 5), box)
+        assert abs(split.lhs - split.rhs) < 1e-6
 
 
 class TestBoxLiteral:

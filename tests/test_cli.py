@@ -111,6 +111,21 @@ def test_amplify_json_matches_golden(capsys, argv, golden):
          "z-sweep needs n >= 2: every z lies in F_p"),
         (["moments", "--p", "31", "--n", "2", "--char-index", "5", "--interval-len", "3", "--r", "100"],
          "a value past the float range"),
+        # numpy seeds take no negative entropy: each command rejects a negative seed up front
+        (["field", "--p", "31", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["charsum", "--p", "31", "--box", "0:3,0:3", "--char-index", "3", "--basis-seed", "-3"],
+         "--basis-seed must be >= 0, got -3"),
+        (["energy", "--p", "31", "--box", "0:3,0:3", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (BOX + ["--z-index", "777", "--basis-seed", "-3"], "--basis-seed must be >= 0, got -3"),
+        (["burgess", "--p", "61", "--box", "4:3,-3:4", "--char-index", "17", "--seed", "-1"],
+         "--seed must be >= 0, got -1"),
+        (["moments", "--p", "31", "--char-index", "7", "--interval-len", "3", "--r", "2", "--seed", "-1"],
+         "--seed must be >= 0, got -1"),
+        (["survey", "--p", "31", "--n", "2", "--random-boxes", "1", "--seed", "-1"],
+         "--seed must be >= 0, got -1"),
+        (["survey", "--p", "31", "--n", "2", "--random-boxes", "1", "--basis-seed", "-3"],
+         "--basis-seed must be >= 0, got -3"),
+        (["pilot", "--seed", "-1", "--out", "no-such-dir/fixtures.json"], "--seed must be >= 0, got -1"),
     ],
 )
 def test_input_errors_exit_2(capsys, argv, message):

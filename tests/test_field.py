@@ -1,4 +1,5 @@
 import ast
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from charbox import (
     is_irreducible,
 )
 from charbox import field
-from oracles import exp_table, inv_mod_p, min_poly_degree, seeded_basis, smallest_generator
+from oracles import exp_table, inv_mod_p, min_poly_degree, mul_schoolbook, seeded_basis, smallest_generator
 
 
 class TestBuildField:
@@ -116,6 +117,45 @@ class TestArith:
             assert f31_3.pow(a, f31_3.q - 1) == f31_3.one()
 
 
+class TestMulKernel:
+    """`mul` and `mul_matrix` against the schoolbook product with long division."""
+
+    @pytest.mark.parametrize("p, n, modulus", [(5, 2, [2, 0, 1]), (3, 3, None), (7, 3, None)])
+    def test_mul_matches_schoolbook_exhaustively(self, p, n, modulus):
+        ctx = cached_field(p, n, modulus=modulus, seed=0)
+        elems = [ctx.decode(i) for i in range(ctx.q)]
+        got = [ctx.mul(a, b) for a in elems for b in elems]
+        assert got == [mul_schoolbook(a, b, ctx.modulus, p) for a in elems for b in elems]
+
+    @pytest.mark.parametrize("p, n", [(4093, 2), (251, 3), (16777213, 1)])
+    def test_mul_matches_schoolbook_random(self, p, n):
+        ctx = FieldCtx(p, n, field._find_irreducible(p, n, 0))  # the kernel needs no tables
+        rng = np.random.default_rng(p)
+        pairs = [tuple(map(tuple, ab)) for ab in rng.integers(0, p, size=(10**4, 2, n)).tolist()]
+        assert [ctx.mul(a, b) for a, b in pairs] == [mul_schoolbook(a, b, ctx.modulus, p) for a, b in pairs]
+
+    def test_x_powers_are_companion_powers(self, f31_3):
+        ctx = f31_3
+        x_k = [ctx.decode(ctx.p**k) for k in range(ctx.n)]  # X^0, X^1, X^2
+        for k, mat in enumerate(ctx.x_powers):
+            for j in range(ctx.n):
+                assert tuple(mat[:, j]) == mul_schoolbook(x_k[k], x_k[j], ctx.modulus, ctx.p)
+        assert not ctx.x_powers.flags.writeable and ctx.x_powers.dtype == np.int64
+
+    @pytest.mark.parametrize("p, n", [(5, 1), (31, 2), (31, 3)])
+    def test_mul_matrix_shapes_and_products(self, p, n):
+        ctx = cached_field(p, n, seed=0)
+        rng = np.random.default_rng(n)
+        a, b = rng.integers(0, p, size=(2, 6, n))
+        mats = ctx.mul_matrix(a)  # (k, n) -> (k, n, n)
+        assert mats.shape == (6, n, n) and mats.dtype == np.int64
+        for ai, bi, mat in zip(a, b, mats):
+            one = ctx.mul_matrix(tuple(int(v) for v in ai))  # (n,) -> (n, n)
+            assert one.shape == (n, n) and np.array_equal(one, mat)
+            want = mul_schoolbook(ai.tolist(), bi.tolist(), ctx.modulus, p)
+            assert tuple((mat @ bi % p).tolist()) == want == ctx.mul(tuple(ai.tolist()), tuple(bi.tolist()))
+
+
 class TestDlog:
     def test_f5_generator_is_two(self, f5):
         # candidate 2: 2^4 = 1 and 2^2 = 4 != 1 mod 5
@@ -184,6 +224,26 @@ class TestTables:
         assert ctx.dlog_at(ctx.exp_at(m)).tolist() == m.tolist()
         assert ctx.dlog_at(ctx.exp_at(slice(q1 - 3, None))).tolist() == list(range(q1 - 3, q1))
         assert peak < 75 * 10**6  # dlog is 67 MB at (4093, 2): no q-sized temporary beside it
+
+    # sha256 of the table bytes as first built by polynomial multiplication:
+    # the matrix kernel must leave every byte of every table unchanged
+    PINNED = {
+        (31, 3): ("4855c9890084d99a88a1c2d9dd702b206ce14ce61797824d84e3aeb09555c5c1",
+                  "58781661da005e5a7e4cc5c1ee700fc186371debf9912b767efe772237a9618a",
+                  "800de7bb469976a20cb9daa9fcd51bd2b898d39769cd23f3852687b5e6df24b3"),
+        (101, 3): ("4aa3570c549fbe90a2cec4492a1e94fdc781c995550f547fb077867260f2ba20",
+                   "44fa787571f4373db7121358f9d69f70c27ddf5f0aadb597659ebc2d4db6b23f",
+                   "95f034661720434705a465aa8cf68f60635a1ca5c6e673789b5a4d7ed9b1825d"),
+        (4093, 2): ("0ddda14a367cd3747a6aa2369b973773f7fe24d5d9ec6aa7166ce0cef2d8159d",
+                    "64b6bc73271df5f1cade25a6820844d54588d61b53a925aa7e1c59bb0b8311f8",
+                    "0741e053a187f612d31a90d3b00cb11bb142840434c8101627181c53fb74e25c"),
+    }
+
+    @pytest.mark.parametrize("p, n", sorted(PINNED))
+    def test_tables_match_pinned_sha256(self, p, n):
+        ctx = build_field(p, n)  # uncached, so the tables go with the test
+        digests = tuple(hashlib.sha256(t.tobytes()).hexdigest() for t in (ctx.dlog, ctx.baby, ctx.giant))
+        assert digests == self.PINNED[(p, n)]
 
     def test_only_field_subscripts_the_tables(self):
         # every kernel reads dlog through dlog_at (an int64 gather) and g^m

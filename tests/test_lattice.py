@@ -24,6 +24,7 @@ from charbox import (
 )
 from charbox.lattice import _dyadic_index
 from charbox.sampling import small_edge_cap, rng_for, sample_basis, sample_ratio_z, sample_z
+from oracles import mul_schoolbook
 
 
 def unit_grid(dim):
@@ -87,6 +88,19 @@ class TestMultMatrix:
             x = basis.elem_from_coords(coords)
             lhs = tuple(int(v) for v in (a @ coords) % 31)
             assert lhs == basis.coords_of(ctx.mul(z, x))
+
+    @pytest.mark.parametrize("p, n", [(31, 3), (101, 2)])
+    def test_matches_per_column_products(self, p, n):
+        # the n-product form: column i holds the omega-coordinates of z omega_i,
+        # each product taken by schoolbook multiplication and long division
+        ctx = cached_field(p, n, seed=0)
+        rng = rng_for(2, p, n)
+        for _ in range(200):
+            basis = sample_basis(ctx, rng)
+            z = ctx.decode(int(rng.integers(0, ctx.q)))
+            cols = [basis.coords_of(mul_schoolbook(z, basis.omega(i + 1), ctx.modulus, p)) for i in range(n)]
+            a = mult_matrix(ctx, basis, z)
+            assert a.dtype == np.int64 and a.T.tolist() == [list(c) for c in cols]
 
 
 class TestGammaZ:

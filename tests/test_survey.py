@@ -89,6 +89,10 @@ class TestConfig:
             ({"p_list": [31], "n": 2, "boxes": ["0:3,0:3", 7]}, "boxes must be list[str] | None"),
             ({"p_list": [31], "n": True, "random_boxes": 1}, "n must be int, got True"),
             ({"n": 2, "random_boxes": 1}, "missing config fields: ['p_list']"),
+            ({"p_list": [31], "n": 2, "random_boxes": 1, "seed": -1},
+             "seed and basis_seed must be >= 0, got -1, 1"),
+            ({"p_list": [31], "n": 2, "random_boxes": 1, "basis_seed": -3},
+             "seed and basis_seed must be >= 0, got 0, -3"),
         ],
     )
     def test_field_types_validated(self, tmp_path, capsys, data, message):
