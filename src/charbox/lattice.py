@@ -7,13 +7,13 @@ out as an exact Fraction together with an integer witness vector, so the
 Minkowski certificate is a hard zero-tolerance assertion.
 
 Enumeration pipeline, integer arithmetic throughout: a fraction-free integral
-LLL on the integer-rescaled basis seeds the shell size, then a blocked numpy
-walk of the enumeration tree over the Hermite triangular basis (computed
-once per lattice, in the lattice's own coordinate order) lists every lattice
-vector of the current shell; shells double until 2n independent vectors
-exist. Witnesses are picked in at most 2n batched rounds, each a numpy rank
-test N v != 0 against integer rows N spanning the complement of the
-witnesses so far.
+LLL on the integer-rescaled basis sizes one shell, the gauge U of the 2n-th
+independent vector among the {-1, 0, 1} combinations of the reduced rows
+(so lambda_2n <= U). A blocked numpy walk of the enumeration tree over the
+Hermite triangular basis (computed once per lattice, in the lattice's own
+coordinate order) then lists every lattice vector of gauge <= U. Witnesses
+are picked in at most 2n batched rounds, each a numpy rank test N v != 0
+against integer rows N spanning the complement of the witnesses so far.
 Polar lattices come from the integer adjugate (`charbox.intlinalg`, like the
 Hermite form).
 """
@@ -36,9 +36,7 @@ DEFAULT_NODE_BUDGET = 10_000_000
 
 
 class EnumerationBudgetError(RuntimeError):
-    def __init__(self, msg: str, partial=None):
-        super().__init__(msg)
-        self.partial = partial
+    """A shell enumeration needed more tree nodes than its budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +367,29 @@ def _shell_vectors(
                             l1_weights, l1_cap, counter)
 
 
-def _lll_seed_gauges(lattice: IntLattice, body: GaugeBody) -> tuple[Fraction, Fraction]:
+@functools.cache
+def _unit_combinations(m: int) -> np.ndarray:
+    """The 3^m - 1 nonzero coefficient rows in {-1, 0, 1}^m, read-only."""
+    coeffs = np.indices((3,) * m, dtype=np.int64).reshape(m, -1).T - 1
+    coeffs = coeffs[coeffs.any(axis=1)]
+    coeffs.setflags(write=False)
+    return coeffs
+
+
+def _combination_bound(lattice: IntLattice, body: GaugeBody) -> Fraction:
+    """U >= lambda_m: the gauge of the m-th greedy pick among the nonzero
+    {-1, 0, 1} combinations of the LLL-reduced rows, m independent lattice
+    vectors of gauge <= U; the rows are among them, so U is at most their
+    largest gauge. A combination's gauge key is at most m times the largest
+    row key; Python ints when that could overflow int64."""
     # LLL under the gauge's per-coordinate stretch; the common factor
     # 1/gauge_scale leaves every LLL decision unchanged
     reduced = _lll_rows(lattice.rows, body._stretch())
-    gauges = [body.gauge(r, lattice.denom) for r in reduced]
-    return min(gauges), max(gauges)
+    top = len(reduced) * max(body.gauge_key(r, lattice.denom) for r in reduced)
+    dtype = np.int64 if top < 2**63 else object
+    vecs = _unit_combinations(len(reduced)).astype(dtype) @ np.array(reduced, dtype=dtype)
+    lams, _ = _greedy_minima(lattice, body, vecs)
+    return lams[-1]
 
 
 def successive_minima(
@@ -382,32 +397,16 @@ def successive_minima(
 ) -> MinimaResult:
     """Exact lambda_1..lambda_dim with greedy canonical witnesses.
 
-    On budget exhaustion the raised error carries the minima certified by the
-    last completed shell (those are exact: every vector up to their gauge was
-    enumerated).
+    One shell at the combination bound U >= lambda_dim holds every vector of
+    gauge <= lambda_dim, so the greedy over it makes the picks it would make
+    over the whole lattice.
     """
-    m = lattice.dim
-    if body.dim != m:
+    if body.dim != lattice.dim:
         raise ValueError("body dimension does not match lattice")
     counter = _NodeCounter(node_budget)
-    lam_min, lam_max = _lll_seed_gauges(lattice, body)
-    shell = lam_min
-    best = None
-    while True:
-        try:
-            vecs = _shell_vectors(lattice, body, shell, counter)
-        except EnumerationBudgetError as exc:
-            exc.partial = best
-            raise
-        picked = _greedy_minima(lattice, body, vecs)
-        if picked is not None:
-            best = picked
-        if picked is not None and len(picked[0]) == m:
-            lams, wits = picked
-            return MinimaResult(lattice, body, tuple(lams), tuple(wits), counter.nodes)
-        if shell >= lam_max:
-            raise EnumerationBudgetError("shell reached LLL cap without full rank (bug)")
-        shell = min(shell * 2, lam_max)
+    vecs = _shell_vectors(lattice, body, _combination_bound(lattice, body), counter)
+    lams, wits = _greedy_minima(lattice, body, vecs)
+    return MinimaResult(lattice, body, tuple(lams), tuple(wits), counter.nodes)
 
 
 def _greedy_minima(lattice: IntLattice, body: GaugeBody, vecs: np.ndarray, limit: int | None = None):
@@ -479,7 +478,7 @@ def first_minimum(
 ) -> tuple[Fraction, tuple[int, ...]]:
     """lambda_1 with its canonical witness (cheaper than full minima)."""
     counter = _NodeCounter(node_budget)
-    lam_min, _ = _lll_seed_gauges(lattice, body)
+    lam_min = min(body.gauge(r, lattice.denom) for r in _lll_rows(lattice.rows, body._stretch()))
     vecs = _shell_vectors(lattice, body, lam_min, counter)
     picked = _greedy_minima(lattice, body, vecs, limit=1)
     assert picked is not None, "seed shell contains an LLL basis vector"

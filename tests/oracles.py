@@ -19,6 +19,7 @@ from charbox.characters import exact_sum
 from charbox.field import FieldError
 from charbox.sampling import rng_for, sample_basis
 
+lattice_mod = importlib.import_module("charbox.lattice")
 energy_mod = importlib.import_module("charbox.energy")  # the package re-exports a function `energy`
 harness = importlib.import_module("charbox.harness")
 
@@ -329,6 +330,12 @@ def _independent_add(echelon: list[list[int]], vec) -> bool:
     return True
 
 
+def integer_rank(vecs) -> int:
+    """Rank over Q of integer vectors, by fraction-free elimination."""
+    echelon: list[list[int]] = []
+    return sum(_independent_add(echelon, v) for v in vecs)
+
+
 def greedy_minima_scan(lattice, body, vecs: np.ndarray):
     """The greedy minima by a full (gauge, lexicographic) sort of the shell and
     one echelon independence test per candidate. Sign-normalizes vecs in place."""
@@ -350,6 +357,24 @@ def greedy_minima_scan(lattice, body, vecs: np.ndarray):
             if len(wits) == m:
                 break
     return lams, wits
+
+
+def successive_minima_doubling(lattice, body, node_budget: int = 10_000_000):
+    """(lambdas, witnesses, nodes) by the doubling shell schedule: start at
+    the least gauge of the LLL-reduced rows and double, capped at the
+    largest, until one shell holds dim independent vectors. Each shell
+    re-enumerates the whole interior. Shares the shell and greedy kernels
+    with charbox.lattice, so it checks the schedule alone."""
+    gauges = [body.gauge(r, lattice.denom) for r in lattice_mod._lll_rows(lattice.rows, body._stretch())]
+    shell, cap = min(gauges), max(gauges)
+    counter = lattice_mod._NodeCounter(node_budget)
+    while True:
+        vecs = lattice_mod._shell_vectors(lattice, body, shell, counter)
+        lams, wits = lattice_mod._greedy_minima(lattice, body, vecs)
+        if len(wits) == lattice.dim:
+            return lams, wits, counter.nodes
+        assert shell < cap, "the LLL-reduced rows are dim independent vectors"
+        shell = min(2 * shell, cap)
 
 
 def smallest_generator(ctx) -> int:

@@ -41,8 +41,9 @@ def test_minima_json_matches_golden(capsys, args, golden):
 
 
 def test_rank_deficient_minima_matches_golden(capsys):
-    # five minima at most 6/5 under lambda_6 = 34/5: the last shell holds
-    # 133,686 vectors, nearly all in the span of the first five witnesses
+    # five minima at most 6/5 under lambda_6 = 34/5: the one shell, at
+    # U = lambda_6, holds 115,214 vectors, nearly all in the span of the
+    # first five witnesses
     assert main(["minima", "--p", "101", "--n", "3", "--box", "0:5,0:5,0:5", "--z-index", "552646"]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / "minima_p101_n3_z552646.json").read_bytes()
 

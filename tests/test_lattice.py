@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from charbox import (
     BasisMatrix,
@@ -12,6 +13,7 @@ from charbox import (
     cached_field,
     classify_z,
     difference_box,
+    f_count,
     gamma_z,
     gamma_z_contains,
     lambda1_star,
@@ -22,7 +24,7 @@ from charbox import (
     successive_minima,
     sup_box_body,
 )
-from charbox.lattice import _dyadic_index
+from charbox.lattice import _NodeCounter, _dyadic_index, _shell_vectors
 from charbox.sampling import small_edge_cap, rng_for, sample_basis, sample_ratio_z, sample_z
 from oracles import mul_schoolbook
 
@@ -180,19 +182,15 @@ class TestSuccessiveMinima:
             lo, mid, hi = res.minkowski_certificate()
             assert lo <= mid <= hi
 
-    def test_budget_error_carries_partial(self, f31_3):
+    def test_budget_error_at_small_budgets(self, f31_3):
+        # z = 1, equal edges: lambda = (1/3,) * 3 + (16/3,) * 3, and the one
+        # shell at U = 16/3 takes 173,182 nodes, so both budgets run out in it
         ctx = cached_field(31, 3, seed=0)
         basis = sample_basis(ctx, rng_for(1, 8))
         box = Box(basis, (0, 0, 0), (3, 3, 3))
-        with pytest.raises(EnumerationBudgetError) as err:
-            minima_for_z(box, ctx.one(), node_budget=80)
-        assert err.value.partial is None  # first shell already over budget
-
-        with pytest.raises(EnumerationBudgetError) as err:
-            minima_for_z(box, ctx.one(), node_budget=500)
-        lams, wits = err.value.partial  # minima certified by the completed shell
-        assert list(lams) == [Fraction(1, 3)] * 3  # z = 1, equal edges
-        assert len(wits) == 3
+        for budget in (80, 500):
+            with pytest.raises(EnumerationBudgetError, match=f"exceeded {budget} nodes"):
+                minima_for_z(box, ctx.one(), node_budget=budget)
 
     def test_deterministic_witnesses(self, f31_3):
         ctx = cached_field(31, 3, seed=0)
@@ -398,3 +396,60 @@ class TestPolarDyadicInjectivity:
                 assert previous is None or previous == z, (p, n, j, wit)
                 seen[j][wit] = z
                 tested += 1
+
+
+class TestLatticeEnergyIdentity:
+    @pytest.mark.parametrize("p, n", [(31, 2), (31, 3), (61, 2)])
+    def test_f0_counts_gamma_points_in_the_closed_box(self, p, n):
+        # f_0(z) = #{(x, y) in B0^2 : xz = y} = #{v in Gamma_z : |v_j| <= H_j},
+        # the zero vector included: B0 = difference_box has ranges [-H_i, H_i]
+        # with 2H_i + 1 <= p, so each pair is one lattice vector and back
+        ctx = cached_field(p, n, seed=0)
+        rng = rng_for(1, 41, p, n)
+        for _ in range(8):
+            nb = random_key_box(ctx, rng).normalize()
+            nz = difference_box(nb).element_indices()
+            nz = nz[nz != 0]
+            for z in (sample_ratio_z(ctx, nz, rng), sample_ratio_z(ctx, nz, rng), sample_z(ctx, rng)):
+                shell = _shell_vectors(gamma_z(ctx, nb.basis, z), sup_box_body(nb.H), 1, _NodeCounter(10**6))
+                assert f_count(ctx, difference_box(nb), z) == 1 + len(shell)
+
+
+def scaled_basis(basis, lam):
+    """omega_i -> lam omega_i."""
+    ctx = basis.ctx
+    return BasisMatrix(ctx, ctx.mul_matrix(lam) @ basis.cols % ctx.p)
+
+
+def frobenius_basis(basis):
+    """omega_i -> omega_i^p, the basis of B^sigma."""
+    ctx = basis.ctx
+    return BasisMatrix(ctx, np.array([ctx.pow(basis.omega(i + 1), ctx.p) for i in range(ctx.n)]).T)
+
+
+class TestLatticeInvariances:
+    """Scaling and Frobenius map Gamma_z to itself as a set of integer vectors,
+    so the Hermite form and every minimum with its witness stay equal. The
+    bases are transformed after normalize(), which orders them by H."""
+
+    @pytest.mark.parametrize("p, n", [(31, 2), (31, 3), (61, 2), (4093, 2)])
+    @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**20))
+    def test_scaling_and_frobenius(self, p, n, seed):
+        ctx = cached_field(p, n, seed=0)
+        rng = rng_for(seed, 43, p, n)
+        nb = random_key_box(ctx, rng).normalize()
+        z = sample_z(ctx, rng)
+        lattice = gamma_z(ctx, nb.basis, z)
+        minima = minima_for_z(nb, z)
+
+        scaled = Box(scaled_basis(nb.basis, sample_z(ctx, rng, outside_prime_subfield=False)), nb.N, nb.H)
+        assert gamma_z(ctx, scaled.basis, z)._hermite_form == lattice._hermite_form
+        res = minima_for_z(scaled, z)
+        assert (res.lambdas, res.witnesses) == (minima.lambdas, minima.witnesses)
+
+        frob = Box(frobenius_basis(nb.basis), nb.N, nb.H)
+        z_p = ctx.pow(z, p)
+        assert gamma_z(ctx, frob.basis, z_p)._hermite_form == lattice._hermite_form
+        res = minima_for_z(frob, z_p)
+        assert (res.lambdas, res.witnesses) == (minima.lambdas, minima.witnesses)

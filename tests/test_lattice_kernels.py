@@ -8,6 +8,7 @@ budget errors and the same polar lattice.
 """
 
 import contextlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from charbox import (
 )
 from charbox import intlinalg, lattice
 from charbox.sampling import rng_for, sample_basis, sample_z, small_edge_cap
-from oracles import greedy_minima_scan
+from oracles import greedy_minima_scan, integer_rank, successive_minima_doubling
 
 # ---------------------------------------------------------------------------
 # reference algorithms (rational arithmetic)
@@ -342,6 +343,10 @@ def assert_same_shell(args, budget=400_000):
     assert counter.nodes == ref_counter.nodes
 
 
+def lll_gauges(lat, body):
+    return [body.gauge(r, lat.denom) for r in lattice._lll_rows(lat.rows, body._stretch())]
+
+
 def ref_gauges(lat, body):
     reduced = ref_lll_rows(lat.rows, ref_scale(lat, body))
     gauges = [body.gauge(r, lat.denom) for r in reduced]
@@ -430,8 +435,8 @@ class TestGreedyMinima:
     @given(gamma_cases())
     def test_gamma_shells_equal_scan(self, case):
         for lat, body in bodies(*case):
-            lam_min, lam_max = lattice._lll_seed_gauges(lat, body)
-            for lam in (lam_min, 2 * lam_min, lam_max):
+            bound = lattice._combination_bound(lat, body)
+            for lam in (min(lll_gauges(lat, body)), bound, bound + Fraction(1, body.gauge_scale(lat.denom))):
                 try:
                     vecs = lattice._shell_vectors(lat, body, lam, lattice._NodeCounter(400_000))
                 except EnumerationBudgetError:
@@ -463,7 +468,7 @@ def minima_outcome(lat, body, budget):
     try:
         res = successive_minima(lat, body, budget)
     except EnumerationBudgetError as exc:
-        return "raised", exc.partial
+        return "raised", str(exc)
     return "ok", (res.lambdas, res.witnesses, res.nodes)
 
 
@@ -483,3 +488,56 @@ class TestMinimaAgainstReference:
             with reference_pipeline():
                 assert over == minima_outcome(lat, body, total - 1)
             assert over[0] == "raised"
+
+
+# ---------------------------------------------------------------------------
+# one shell at the combination bound against the doubling schedule
+
+
+def assert_least_full_rank_gauge(lat, body):
+    """U is the least t at which the nonzero {-1, 0, 1} combinations of the
+    LLL rows of gauge <= t reach full rank, and at most the largest LLL gauge."""
+    reduced = lattice._lll_rows(lat.rows, body._stretch())
+    combos = [[sum(c * r[j] for c, r in zip(coeffs, reduced)) for j in range(lat.dim)]
+              for coeffs in itertools.product((-1, 0, 1), repeat=lat.dim) if any(coeffs)]
+    gauges = [body.gauge(v, lat.denom) for v in combos]
+    bound = lattice._combination_bound(lat, body)
+    assert bound in gauges and bound <= max(lll_gauges(lat, body))
+    assert integer_rank(v for v, g in zip(combos, gauges) if g < bound) < lat.dim
+    assert integer_rank(v for v, g in zip(combos, gauges) if g <= bound) == lat.dim
+
+
+class TestCombinationBound:
+    @KERNEL_SETTINGS
+    @given(gamma_cases())
+    def test_minima_equal_doubling_schedule(self, case):
+        for lat, body in bodies(*case):
+            lams, wits, _ = successive_minima_doubling(lat, body)
+            res = successive_minima(lat, body)
+            assert res.lambdas == tuple(lams) and res.witnesses == tuple(wits)
+            assert lams[-1] <= lattice._combination_bound(lat, body) <= max(lll_gauges(lat, body))
+
+    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(gamma_cases())
+    def test_bound_is_least_full_rank_gauge(self, case):
+        for lat, body in bodies(*case):
+            assert_least_full_rank_gauge(lat, body)
+
+    def test_python_int_combinations_past_int64(self):
+        # rows near 2^40, stretch 2^22 on coordinates 0 and 2, and the LLL-
+        # reduced b0 = (X, 0, e, 0), b1 = (X/2 - d, 0, -Z, 0): the key of
+        # b0 + b1 passes 2^63. In int64 its coordinate-0 term would wrap
+        # negative and leave it the key Z - e, so the greedy would end at Z
+        # instead of at lambda_4 = Z + e, the key of b0 - b1.
+        x, z, e, d = 3 * 2**39, 9 * 2**37, 1000, 10**6
+        reduced = [[0, 5, 0, 0], [0, 0, 0, 7], [x, 0, e, 0], [x // 2 - d, 0, -z, 0]]
+        mix = [[1, 0, 0, 0], [2, 1, 0, 0], [3, -1, 1, 0], [1, 4, 2, 1]]
+        rows = np.array(mix, dtype=object) @ np.array(reduced, dtype=object)
+        lat = IntLattice(tuple(map(tuple, rows.tolist())))
+        body = sup_box_body((1, 2**22))
+        assert sorted(lattice._lll_rows(lat.rows, body._stretch())) == sorted(reduced)
+        assert (x + x // 2 - d) * 2**22 >= 2**63
+        assert lattice._combination_bound(lat, body) == z + e
+        assert_least_full_rank_gauge(lat, body)
+        with pytest.raises(OverflowError, match="int64"):  # the shell at U does not fit either
+            successive_minima(lat, body)
