@@ -11,6 +11,7 @@ from .boxes import (
     parse_box_spec,
     scaled_box,
     subdivide_box,
+    tall_box_identity,
 )
 from .characters import (
     Character,
@@ -19,7 +20,6 @@ from .characters import (
     complete_poly_char_sum,
     generator_interval_sum,
     interval_sums_scan,
-    tall_box_identity,
 )
 from .energy import (
     EnergyProfile,

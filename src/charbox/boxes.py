@@ -5,7 +5,9 @@ sum_i x_i omega_i with N_i + 1 <= x_i <= N_i + H_i. Offsets are arbitrary
 integers; reduction mod p happens at element construction. An edge is
 small when H < sqrt(p/2), tested exactly as H <= small_edge_cap(p). Box and
 basis are immutable, so each Box computes its encoded elements once and
-hands out that one read-only array.
+hands out that one read-only array. The tall walk (B divided by omega_n, row
+by row) is the one kernel behind the tall-box identity and the degenerate
+outer-pair set; both are checks on integer indices.
 """
 
 from __future__ import annotations
@@ -19,9 +21,6 @@ from typing import Iterator
 import numpy as np
 
 from .field import BasisMatrix, FieldCtx, FqElem
-
-
-_SCAN_BUDGET = 2**22  # most outer pairs (x_1, x_2) that degenerate_pair_set scans
 
 
 class BoxError(ValueError):
@@ -181,20 +180,36 @@ def degenerate_pair_closed_form(box: Box) -> set[tuple[int, int]]:
     return set() if None in hits else {(hits[0], hits[1])}
 
 
-def degenerate_pair_set(box: Box) -> set[tuple[int, int]]:
-    """A = {(x_1, x_2): x_1 omega_1/omega_3 + x_2 omega_2/omega_3 lies in F_p},
-    computed by direct scan over I_1 x I_2."""
+def tall_walk(box: Box) -> tuple[np.ndarray, np.ndarray]:
+    """B divided by omega_n, row by row: outer is the lexicographic grid of the
+    first n - 1 axes, and walk[r, j] is the index of a_r + t_j, where
+    a_r = sum_{i<n} x_i omega_i/omega_n at outer row r and t_j runs over the
+    last range. Row r times omega_n is row r of B, so the walk never
+    enumerates B."""
+    ctx, n = box.ctx, box.ctx.n
+    if n < 2:
+        raise BoxError("the tall walk needs n >= 2")
+    ratios = ctx.mul_matrix(ctx.inv(box.basis.omega(n))) @ box.basis.cols[:, : n - 1] % ctx.p
+    outer = _lex_grid(box.N[: n - 1], box.H[: n - 1])
+    base_idx = ctx.encode_array(np.asarray(outer % ctx.p, dtype=np.int64) @ ratios.T % ctx.p)
+    ts = np.arange(box.H[n - 1], dtype=np.int64) + (box.N[n - 1] % ctx.p + 1)  # t mod p suffices
+    return outer, ctx.add_int_array(base_idx[:, None], ts)
+
+
+def tall_box_identity(box: Box) -> bool:
+    """The pull-out-omega_n split B = omega_n (a_r + t), checked exactly:
+    the tall walk times omega_n equals B's indices elementwise."""
     ctx = box.ctx
-    if ctx.n != 3:
+    _, walk = tall_walk(box)
+    scaled = ctx.decode_array(walk.ravel()) @ ctx.mul_matrix(box.basis.omega(ctx.n)).T % ctx.p
+    return np.array_equal(ctx.encode_array(scaled), box.element_indices())
+
+
+def degenerate_pair_set(box: Box) -> set[tuple[int, int]]:
+    """A = {(x_1, x_2): x_1 omega_1/omega_3 + x_2 omega_2/omega_3 lies in F_p}:
+    the outer rows of the tall walk whose a_r has index below p."""
+    if box.ctx.n != 3:
         raise BoxError("degenerate pair set is defined for n = 3 boxes")
-    if box.H[0] * box.H[1] > _SCAN_BUDGET:
-        raise BoxError("outer grid exceeds scan budget")
-    # c_i = omega_i/omega_3; the ranges as residues mod p, shifted back on return
-    c1, c2 = (ctx.mul_matrix(ctx.inv(box.basis.omega(3))) @ box.basis.cols[:, :2] % ctx.p).T
-    r1, r2 = (np.arange(box.H[i], dtype=np.int64) + box.N[i] % ctx.p + 1 for i in range(2))
-    # coefficients of x1*c1 + x2*c2 beyond the constant one must vanish
-    tail = (
-        r1[:, None, None] * c1[None, None, 1:] + r2[None, :, None] * c2[None, None, 1:]
-    ) % ctx.p
-    bad = np.argwhere((tail == 0).all(axis=2))
-    return {(box.N[0] + 1 + int(i), box.N[1] + 1 + int(j)) for i, j in bad}
+    outer, walk = tall_walk(box)
+    rows = np.flatnonzero(walk[:, 0] < box.ctx.p)
+    return {(int(outer[r, 0]), int(outer[r, 1])) for r in rows}

@@ -4,7 +4,8 @@ chi_k sends g^m to exp(2 pi i k m / (q-1)) and 0 to 0, evaluated only where
 asked (no q-sized value table) and always by the one kernel `_of_dlogs`. Box
 sums enumerate in lexicographic coordinate order and accumulate with
 exact_sum, which returns the correctly rounded sum (the math.fsum value), so
-summation is deterministic.
+summation is deterministic. The survey's route checks (tall split,
+subdivision) compare element indices and need no chi.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import Box, _lex_grid
+from .boxes import Box
 from .field import FieldCtx, FqElem, is_generating
 
 _TABLE_CACHE_LIMIT = 0  # no field gets a q-sized chi table; values are computed on demand
@@ -176,38 +177,3 @@ def _subinterval_abs(vals: np.ndarray) -> np.ndarray:
     prefix = np.concatenate([[0j], np.cumsum(vals)])
     lo, hi = np.triu_indices(len(vals))
     return np.abs(prefix[hi + 1] - prefix[lo])
-
-
-@dataclass(frozen=True)
-class TallBoxSplit:
-    lhs: complex
-    rhs: complex
-    inner_abs: np.ndarray  # |inner sum| per outer row, lexicographic
-    outer_coords: np.ndarray  # matching outer coordinate rows
-    max_inner_abs: float
-
-
-def tall_box_identity(chi: Character, box: Box) -> TallBoxSplit:
-    """Both sides of the pull-out-omega_n factorization of the box sum.
-
-    lhs is `box_char_sum` over B; rhs is chi(omega_n) times the row-by-row
-    inner sums over the last coordinate at shifted generators, one row per
-    point of the lexicographic grid of the first n - 1 axes, so the rhs never
-    enumerates B. The two agree up to roundoff for every box.
-    """
-    ctx = box.ctx
-    n = ctx.n
-    if n < 2:
-        raise ValueError("tall box split needs n >= 2")
-    lhs = box_char_sum(chi, box)
-    w_n = box.basis.omega(n)
-    ratios = ctx.mul_matrix(ctx.inv(w_n)) @ box.basis.cols[:, : n - 1] % ctx.p  # omega_i/omega_n
-
-    outer = _lex_grid(box.N[: n - 1], box.H[: n - 1])
-    base_idx = ctx.encode_array(np.asarray(outer % ctx.p, dtype=np.int64) @ ratios.T % ctx.p)
-    ts = np.arange(box.H[n - 1], dtype=np.int64) + (box.N[n - 1] % ctx.p + 1)  # t mod p suffices
-    inner_idx = ctx.add_int_array(base_idx[:, None], ts)
-    inner = chi.values_at(inner_idx.ravel()).reshape(inner_idx.shape).sum(axis=1)
-    inner_abs = np.abs(inner)
-    rhs = chi.value(w_n) * _fsum_complex(inner)
-    return TallBoxSplit(lhs, rhs, inner_abs, outer, float(inner_abs.max(initial=0.0)))

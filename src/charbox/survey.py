@@ -47,8 +47,9 @@ from .boxes import (
     small_edge_cap,
     subdivide_box,
     omega_line_intersection,
+    tall_box_identity,
 )
-from .characters import Character, box_char_sum, tall_box_identity
+from .characters import Character, box_char_sum
 from . import field
 from .field import cached_field
 from .sampling import _BOX_REGIMES, rng_for, sample_basis, sample_box, sample_character
@@ -194,22 +195,20 @@ def _survey_row_inner(task: dict) -> dict:
 
     eps = task["eps"]
     route = _route_for(box, eps)
-    # B is enumerated once: its indices are cached on the box
-    split = tall_box_identity(chi, box) if route == "tall" else None
-    total = split.lhs if split else box_char_sum(chi, box)
+    total = box_char_sum(chi, box)  # the one chi evaluation; B's indices are cached on the box
     checks: dict[str, bool] = {}
 
     if box.size <= 2**22:
         checks["count"] = len(_sorted_distinct(box.element_indices())) == box.size
     if route == "subdivided":
         pieces = subdivide_box(box)
-        piece_total = sum(box_char_sum(chi, piece) for piece in pieces)
+        merged = np.concatenate([piece.element_indices() for piece in pieces])
         checks["partition_sizes"] = sum(piece.size for piece in pieces) == box.size
-        checks["partition_sum"] = abs(piece_total - total) <= 1e-6
+        checks["partition_sum"] = np.array_equal(np.sort(merged), np.sort(box.element_indices()))
         checks["piece_edges"] = all(max(piece.H) <= small_edge_cap(p) for piece in pieces)
     elif route == "tall":
-        checks["tall_identity"] = abs(total - split.rhs) <= 1e-6
-        if n == 3 and box.H[0] * box.H[1] <= 2**18:
+        checks["tall_identity"] = tall_box_identity(box)
+        if n == 3:
             nb = box.normalize()
             checks["degenerate_set"] = degenerate_pair_set(nb) == degenerate_pair_closed_form(nb)
 

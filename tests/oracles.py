@@ -14,9 +14,9 @@ from itertools import product
 
 import numpy as np
 
-from charbox.boxes import difference_box, scaled_box
-from charbox.characters import exact_sum
-from charbox.field import FieldError
+from charbox.boxes import difference_box, scaled_box, tall_box_identity, tall_walk
+from charbox.characters import box_char_sum, exact_sum
+from charbox.field import BasisMatrix, FieldError
 from charbox.sampling import rng_for, sample_basis
 
 lattice_mod = importlib.import_module("charbox.lattice")
@@ -197,6 +197,61 @@ def burgess_shift_loop(box, chi, eps):
             partials.append(complex(math.fsum(vals.real), math.fsum(vals.imag)))
     total = complex(math.fsum(c.real for c in partials), math.fsum(c.imag for c in partials))
     return total / (b0.size * len(params.interval)), abs(total), max_sym
+
+
+def seed_tall_sides(chi, box, table=None):
+    """Walk oracle of the pull-out-omega_n split, built as the seed built its
+    rhs: the outer grid by meshgrid, omega_i/omega_n by scalar field products,
+    and the walk a_r + t by moving coordinate 0 of a_r. chi is read from
+    `table` (a q-sized chi table) when given, else from `values_at`.
+
+    Returns the walk (indices, one row per outer point in lexicographic
+    order) and the rhs chi(omega_n) * sum_r inner_r (math.fsum per part)."""
+    ctx, n = box.ctx, box.ctx.n
+    w_n = box.basis.omega(n)
+    w_inv = ctx.inv(w_n)
+    ratio_mat = np.array([ctx.mul(box.basis.omega(i + 1), w_inv) for i in range(n - 1)])
+    axes = [np.array([(box.N[i] + j) % ctx.p for j in range(1, box.H[i] + 1)]) for i in range(n)]
+    outer = np.stack([m.ravel() for m in np.meshgrid(*axes[:-1], indexing="ij")], axis=1)
+    base_idx = ctx.encode_array(outer @ ratio_mat % ctx.p)
+    d0 = base_idx % ctx.p
+    walk = base_idx[:, None] - d0[:, None] + (d0[:, None] + axes[-1][None, :]) % ctx.p
+    vals = table[walk] if table is not None else chi.values_at(walk.ravel()).reshape(walk.shape)
+    inner = vals.sum(axis=1)
+    return walk, chi.value(w_n) * complex(math.fsum(inner.real), math.fsum(inner.imag))
+
+
+def times_omega_n(box, idx) -> np.ndarray:
+    """Indices of omega_n x for encoded x, in dlog space:
+    dlog(omega_n x) = dlog(omega_n) + dlog(x) mod q - 1, and 0 stays 0."""
+    ctx = box.ctx
+    d = ctx.dlog_at(np.ravel(idx))
+    shifted = ctx.exp_at((d + ctx.dlog_of(box.basis.omega(ctx.n))) % ctx.q1)
+    return np.where(d < 0, 0, shifted)
+
+
+def check_tall_split(chi, box, table=None) -> None:
+    """The pull-out-omega_n split of B, checked three ways: the exact index
+    identity holds and its walk is the oracle's, the oracle's walk times
+    omega_n is B's indices, and the box sum agrees with the oracle's rhs
+    within 1e-6."""
+    walk, rhs = seed_tall_sides(chi, box, table)
+    assert tall_box_identity(box)
+    assert np.array_equal(tall_walk(box)[1], walk)
+    assert np.array_equal(times_omega_n(box, walk), box.element_indices())
+    assert abs(box_char_sum(chi, box) - rhs) < 1e-6
+
+
+def scaled_basis(basis, lam):
+    """omega_i -> lam omega_i, the basis of lam B."""
+    ctx = basis.ctx
+    return BasisMatrix(ctx, ctx.mul_matrix(lam) @ basis.cols % ctx.p)
+
+
+def frobenius_basis(basis):
+    """omega_i -> omega_i^p, the basis of B^sigma."""
+    ctx = basis.ctx
+    return BasisMatrix(ctx, np.array([ctx.pow(basis.omega(i + 1), ctx.p) for i in range(ctx.n)]).T)
 
 
 def ratio_bincount_dense(dlogs, modulus):

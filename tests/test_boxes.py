@@ -22,9 +22,9 @@ from charbox import (
     subdivide_box,
     tall_box_identity,
 )
-from charbox.boxes import _sorted_distinct
+from charbox.boxes import _sorted_distinct, tall_walk
 from charbox.sampling import rng_for, sample_basis, small_edge_cap
-from oracles import omega_line_count_bruteforce, seeded_basis
+from oracles import check_tall_split, omega_line_count_bruteforce, seeded_basis
 
 
 class TestEnumeration:
@@ -293,10 +293,10 @@ class TestOffsetsModP:
         assert box.element_indices().dtype == np.int64
         chi = Character(ctx, 7)
         assert box_char_sum(chi, box) == box_char_sum(chi, res)
-        split, split_res = tall_box_identity(chi, box), tall_box_identity(chi, res)
-        assert (split.lhs, split.rhs, split.max_inner_abs) == (split_res.lhs, split_res.rhs, split_res.max_inner_abs)
-        assert np.array_equal(split.inner_abs, split_res.inner_abs)
-        assert (split.outer_coords - np.array(shift[:-1], dtype=object)).tolist() == split_res.outer_coords.tolist()
+        (outer, walk), (outer_res, walk_res) = tall_walk(box), tall_walk(res)
+        assert np.array_equal(walk, walk_res)
+        assert (outer - np.array(shift[:-1], dtype=object)).tolist() == outer_res.tolist()
+        assert tall_box_identity(box) and tall_box_identity(res)
         if ctx.n == 3:
             pairs = degenerate_pair_set(box)
             assert pairs == {(x + shift[0], y + shift[1]) for x, y in degenerate_pair_set(res)}
@@ -332,8 +332,7 @@ class TestOffsetsModP:
         assert len(np.unique(box.element_indices())) == box.size
         self._check_against_residue_box(box)
         assert omega_line_intersection(box) == omega_line_count_bruteforce(box)
-        split = tall_box_identity(Character(ctx, 5), box)
-        assert abs(split.lhs - split.rhs) < 1e-6
+        check_tall_split(Character(ctx, 5), box)
 
 
 class TestBoxLiteral:

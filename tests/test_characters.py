@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from charbox import (
     Box,
@@ -10,12 +11,15 @@ from charbox import (
     box_char_sum,
     cached_field,
     complete_poly_char_sum,
+    energy,
     generator_interval_sum,
     interval_sums_scan,
-    tall_box_identity,
+    scaled_box,
+    tau_profile,
 )
-from charbox.sampling import rng_for, sample_basis, sample_character
-from oracles import seeded_basis
+from charbox.sampling import rng_for, sample_basis, sample_character, sample_z, small_edge_cap
+from charbox.boxes import tall_walk
+from oracles import check_tall_split, frobenius_basis, scaled_basis, seeded_basis
 
 
 class TestEvaluation:
@@ -195,6 +199,13 @@ class TestPolyaVinogradov:
                     assert abs(value) <= math.sqrt(p) * math.log(p) + 1e-6
 
 
+def row_sums_abs(chi, box):
+    """The outer rows of the tall walk and |sum of chi over each row of B|:
+    row r of B is omega_n (a_r + t), so this is |sum_t chi(a_r + t)|."""
+    outer, walk = tall_walk(box)
+    return outer, np.abs(chi.values_at(box.element_indices()).reshape(walk.shape).sum(axis=1))
+
+
 class TestTallBoxIdentity:
     def test_identity_holds(self, f31_3):
         rng = rng_for(0, 5)
@@ -203,8 +214,7 @@ class TestTallBoxIdentity:
             box = Box(basis, tuple(int(v) for v in rng.integers(-10, 10, size=3)),
                       (int(rng.integers(1, 5)), int(rng.integers(1, 5)), int(rng.integers(10, 32))))
             chi = sample_character(cached_field(31, 3, seed=0), rng)
-            split = tall_box_identity(chi, box)
-            assert abs(split.lhs - split.rhs) < 1e-6
+            check_tall_split(chi, box)
 
     def test_identity_holds_n2(self, f31_2):
         rng = rng_for(0, 6)
@@ -213,16 +223,14 @@ class TestTallBoxIdentity:
             box = Box(basis, tuple(int(v) for v in rng.integers(-10, 10, size=2)),
                       (int(rng.integers(1, 5)), int(rng.integers(10, 32))))
             chi = sample_character(f31_2, rng)
-            split = tall_box_identity(chi, box)
-            assert abs(split.lhs - split.rhs) < 1e-6
+            check_tall_split(chi, box)
 
     def test_zero_row_reduces_to_omega_line_sum(self, f31_3, id_basis_31_3):
         ctx = cached_field(31, 3, seed=0)
         box = Box(id_basis_31_3, (-1, -2, 4), (3, 4, 9))  # 0 in I_1 and I_2
         chi = Character(ctx, 6)
-        split = tall_box_identity(chi, box)
-        rows = {tuple(c): i for i, c in enumerate(split.outer_coords)}
-        row = rows[(0, 0)]
+        outer, inner_abs = row_sums_abs(chi, box)
+        row = {tuple(c): i for i, c in enumerate(outer)}[(0, 0)]
         s_prime = sum(
             chi.value(ctx.mul(ctx.from_int(t), id_basis_31_3.omega(3)))
             for t in range(5, 14)
@@ -230,7 +238,7 @@ class TestTallBoxIdentity:
         w3 = chi.value(id_basis_31_3.omega(3))
         # chi(omega_3) * inner = the omega_n-line partial sum S'
         inner_direct = sum(chi.value(ctx.from_int(t)) for t in range(5, 14))
-        assert abs(split.inner_abs[row] - abs(inner_direct)) < 1e-9
+        assert abs(inner_abs[row] - abs(inner_direct)) < 1e-9
         assert abs(w3 * inner_direct - s_prime) < 1e-12
 
     def test_generating_rows_against_fixture(self, f31_3):
@@ -246,10 +254,9 @@ class TestTallBoxIdentity:
         basis = sample_basis(ctx, rng)
         box = Box(basis, (-1, -2, 0), (3, 4, 31))
         chi = sample_character(ctx, rng)
-        split = tall_box_identity(chi, box)
         bound = c_est * math.sqrt(31) * math.log(31)
         degenerate = {(0, 0)}
-        for coords, mag in zip(split.outer_coords, split.inner_abs):
+        for coords, mag in zip(*row_sums_abs(chi, box)):
             if tuple(coords) not in degenerate:
                 assert mag <= bound + 1e-6
 
@@ -284,3 +291,63 @@ class TestOmegaLineAccounting:
             zeros_on_line = sum(1 for v in line_vals if v == 0)
             assert abs(total - (bulk + line_sum)) < 1e-9
             assert abs(abs(line_sum) - (line_term - zeros_on_line)) < 1e-9
+
+
+def dlog_multiset(box, mul=1, add=0):
+    """Sorted dlogs of B's elements, each nonzero one sent to mul * d + add mod q - 1
+    (0 keeps dlog -1)."""
+    d = box.ctx.dlog_at(box.element_indices())
+    return np.sort(np.where(d < 0, -1, (mul * d + add) % box.ctx.q1))
+
+
+def sum_tolerance(box) -> float:
+    """Bound on |S_1 - u S_2| for two computed box sums of |B| terms whose
+    exact values agree, u a unit computed by `Character.value`. A computed chi
+    value is within 2^-48 of its root of unity: its angle 2 pi m/(q - 1),
+    below 2 pi, takes three roundings (about 2^-48.8 absolute), and np.exp adds
+    about one ulp. So each sum is within |B| (2^-48 + 2^-52) of the exact sum,
+    u S_2 adds |B| (2^-48 + 2^-51), and |B| 2^-46 covers all of it."""
+    return box.size * 2.0**-46
+
+
+class TestBoxInvariances:
+    """Scaling, Frobenius and negation act on B as bijections of F_q, so the
+    dlogs of the image are those of B moved by one map, exactly; chi sums pick
+    up chi(lambda), chi(-1) or move to chi_{kp}, and E and sum tau^2 stay
+    (B0 is the shrunk box of the image).
+    Bases are transformed after normalize(), which orders them by H."""
+
+    @pytest.mark.parametrize("p, n", [(31, 2), (31, 3), (61, 2), (4093, 2)])
+    @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**20))
+    def test_scaling_frobenius_negation(self, p, n, seed):
+        ctx = cached_field(p, n, seed=0)
+        rng = rng_for(seed, 47, p, n)
+        edge_cap = min(small_edge_cap(p), 16)
+        nb = Box(sample_basis(ctx, rng), tuple(int(v) for v in rng.integers(-p, p, size=n)),
+                 tuple(int(v) for v in rng.integers(1, edge_cap + 1, size=n))).normalize()
+        chi = sample_character(ctx, rng)
+        total = box_char_sum(chi, nb)
+        tol = sum_tolerance(nb)
+
+        lam = sample_z(ctx, rng, outside_prime_subfield=False)
+        scaled = Box(scaled_basis(nb.basis, lam), nb.N, nb.H)
+        assert np.array_equal(dlog_multiset(scaled), dlog_multiset(nb, add=ctx.dlog_of(lam)))
+        assert abs(box_char_sum(chi, scaled) - chi.value(lam) * total) <= tol
+
+        frob = Box(frobenius_basis(nb.basis), nb.N, nb.H)
+        assert np.array_equal(dlog_multiset(frob), dlog_multiset(nb, mul=p))
+        # chi_k(x^p) and chi_{kp}(x) are computed from the same integer k p dlog x
+        # mod q - 1, and exact_sum does not depend on the order: equal floats
+        assert box_char_sum(chi, frob) == box_char_sum(Character(ctx, chi.k * p), nb)
+
+        neg = Box(nb.basis, tuple(-nn - hh - 1 for nn, hh in zip(nb.N, nb.H)), nb.H)
+        minus_one = ctx.from_int(p - 1)
+        assert np.array_equal(dlog_multiset(neg), dlog_multiset(nb, add=ctx.dlog_of(minus_one)))
+        assert abs(box_char_sum(chi, neg) - chi.value(minus_one) * total) <= tol
+
+        e = energy(ctx, nb).E
+        tau_sq = tau_profile(nb, scaled_box(nb, 0.15)).sum_tau_sq
+        for image in (scaled, frob, neg):
+            assert energy(ctx, image).E == e
+            assert tau_profile(image, scaled_box(image, 0.15)).sum_tau_sq == tau_sq

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from charbox import Box, Character, cached_field, difference_box, f_count, s_decomposition, tall_box_identity
+from charbox import Box, Character, cached_field, difference_box, f_count, s_decomposition
 from charbox import characters, harness
 from charbox.characters import box_char_sum, complete_poly_char_sum, exact_sum
 from charbox.sampling import rng_for, sample_basis, sample_box, sample_character
-from oracles import exp_table, s_decomposition_dense, seeded_basis
+from oracles import check_tall_split, exp_table, s_decomposition_dense, seeded_basis
 
 
 def same_bits(a, b) -> bool:
@@ -125,22 +125,6 @@ def seed_fsum_complex(vals):
     return complex(math.fsum(vals.real), math.fsum(vals.imag))
 
 
-def seed_tall_sides(chi, table, box):
-    ctx, n = box.ctx, box.ctx.n
-    w_n = box.basis.omega(n)
-    w_inv = ctx.inv(w_n)
-    ratio_mat = np.array([ctx.mul(box.basis.omega(i + 1), w_inv) for i in range(n - 1)])
-    axes = [np.arange(box.N[i] + 1, box.N[i] + box.H[i] + 1) for i in range(n - 1)]
-    outer = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-    base_idx = ctx.encode_array((outer % ctx.p) @ ratio_mat % ctx.p)
-    ts = np.arange(box.N[n - 1] + 1, box.N[n - 1] + box.H[n - 1] + 1) % ctx.p
-    d0 = base_idx % ctx.p
-    inner_idx = base_idx[:, None] - d0[:, None] + (d0[:, None] + ts[None, :]) % ctx.p
-    inner = table[inner_idx].sum(axis=1)
-    lhs = seed_fsum_complex(table[box.element_indices()])
-    return lhs, chi.value(w_n) * seed_fsum_complex(inner), np.abs(inner)
-
-
 def seed_moment(table, ctx, interval, r):
     partials = []
     for start in range(0, ctx.q, harness._MOMENT_CHUNK):
@@ -166,10 +150,7 @@ def test_sums_equal_seed_oracle(p, n):
             if box.size > 2**18:
                 continue
             assert same_bits(box_char_sum(chi, box), seed_fsum_complex(table[box.element_indices()]))
-            split = tall_box_identity(chi, box)
-            lhs, rhs, inner_abs = seed_tall_sides(chi, table, box)
-            assert same_bits(split.lhs, lhs) and same_bits(split.rhs, rhs)
-            assert same_bits(split.inner_abs, inner_abs)
+            check_tall_split(chi, box, table)
         interval, r = [(range(1, 4), 4), (range(1, 6), 3), (range(1, 8), 2)][trial]
         got = harness.moment_sum(chi, interval, r).value
         assert same_bits(got, seed_moment(table, ctx, interval, r))
@@ -214,10 +195,7 @@ def test_k_near_q_matches_int64_table_oracle(k_back):
     for regime in ("small", "tall"):
         box = sample_box(basis, rng, regime=regime)
         assert same_bits(box_char_sum(chi, box), seed_fsum_complex(table[box.element_indices()]))
-        split = tall_box_identity(chi, box)
-        lhs, rhs, inner_abs = seed_tall_sides(chi, table, box)
-        assert same_bits(split.lhs, lhs) and same_bits(split.rhs, rhs)
-        assert same_bits(split.inner_abs, inner_abs)
+        check_tall_split(chi, box, table)
 
     roots = [(ctx.decode(int(exp[ctx.q1 - k_back])), 1), (ctx.decode(7), 2), (ctx.decode(ctx.q - 1), ctx.q1 - 5)]
     got = complete_poly_char_sum(chi, roots).value

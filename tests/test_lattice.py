@@ -26,7 +26,7 @@ from charbox import (
 )
 from charbox.lattice import _NodeCounter, _dyadic_index, _shell_vectors
 from charbox.sampling import small_edge_cap, rng_for, sample_basis, sample_ratio_z, sample_z
-from oracles import mul_schoolbook
+from oracles import frobenius_basis, mul_schoolbook, scaled_basis
 
 
 def unit_grid(dim):
@@ -413,18 +413,6 @@ class TestLatticeEnergyIdentity:
             for z in (sample_ratio_z(ctx, nz, rng), sample_ratio_z(ctx, nz, rng), sample_z(ctx, rng)):
                 shell = _shell_vectors(gamma_z(ctx, nb.basis, z), sup_box_body(nb.H), 1, _NodeCounter(10**6))
                 assert f_count(ctx, difference_box(nb), z) == 1 + len(shell)
-
-
-def scaled_basis(basis, lam):
-    """omega_i -> lam omega_i."""
-    ctx = basis.ctx
-    return BasisMatrix(ctx, ctx.mul_matrix(lam) @ basis.cols % ctx.p)
-
-
-def frobenius_basis(basis):
-    """omega_i -> omega_i^p, the basis of B^sigma."""
-    ctx = basis.ctx
-    return BasisMatrix(ctx, np.array([ctx.pow(basis.omega(i + 1), ctx.p) for i in range(ctx.n)]).T)
 
 
 class TestLatticeInvariances:

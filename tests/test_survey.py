@@ -12,11 +12,10 @@ import time
 import numpy as np
 import pytest
 
-from charbox import ExperimentConfig, cached_field, run_config, theorem_survey
-from charbox import characters, field
+from charbox import Character, ExperimentConfig, box_char_sum, cached_field, run_config, theorem_survey
+from charbox import boxes, field
 from charbox import survey as survey_mod
-from charbox.boxes import Box, format_box_spec, small_edge_cap
-from charbox.characters import tall_box_identity
+from charbox.boxes import Box, format_box_spec, small_edge_cap, tall_box_identity
 from charbox.survey import ConfigError, render_csv, render_json, emit_report, CSV_HEADERS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "sample_survey.csv"
@@ -27,8 +26,8 @@ FAULT_ARGV = ["--p", "31,61", "--n", "2", "--random-boxes", "3", "--random-chars
 
 
 def _inject_fault(monkeypatch, target: dict) -> None:
-    """Make box_char_sum raise on the (character, box) of one clean row, both
-    where the survey calls it and where a tall row's `tall_box_identity` does."""
+    """Make the survey's box_char_sum raise on the (character, box) of one
+    clean row."""
     real_sum = survey_mod.box_char_sum
 
     def faulty_sum(chi, box):
@@ -37,7 +36,6 @@ def _inject_fault(monkeypatch, target: dict) -> None:
         return real_sum(chi, box)
 
     monkeypatch.setattr(survey_mod, "box_char_sum", faulty_sum)
-    monkeypatch.setattr(characters, "box_char_sum", faulty_sum)
 
 
 def _workers() -> dict:
@@ -209,24 +207,72 @@ class TestOneEnumeration:
             # the subdivided row enumerates the box and each of its pieces
             assert (len(calls) > 1) == (route == "subdivided")
 
+    def test_chi_evaluated_once_per_row(self, monkeypatch):
+        calls = []
+        real_values = Character.values_at
+
+        def counted_values(chi, idx):
+            calls.append(len(idx))
+            return real_values(chi, idx)
+
+        monkeypatch.setattr(Character, "values_at", counted_values)
+        for spec, route in zip(ROUTE_GRID["boxes"], ("direct", "subdivided", "tall")):
+            calls.clear()
+            report = theorem_survey(ExperimentConfig(**{**ROUTE_GRID, "boxes": [spec]}))
+            assert [r["route"] for r in report.rows] == [route] and report.all_ok
+            size = math.prod(int(part.split(":")[1]) for part in spec.split(","))
+            assert calls == [size], route
+
     def test_tall_flag_compares_the_public_split(self, monkeypatch):
-        seen = {}
-        real_split = survey_mod.tall_box_identity
+        seen = []
+        real_identity = survey_mod.tall_box_identity
 
-        def recording_split(chi, box):
-            seen["chi"], seen["box"] = chi, box
-            seen["split"] = real_split(chi, box)
-            return seen["split"]
+        def recording_identity(box):
+            seen.append((box, real_identity(box)))
+            return seen[-1][1]
 
-        monkeypatch.setattr(survey_mod, "tall_box_identity", recording_split)
+        monkeypatch.setattr(survey_mod, "tall_box_identity", recording_identity)
         cfg = ExperimentConfig(**{**ROUTE_GRID, "boxes": ROUTE_GRID["boxes"][2:]})
         (row,) = theorem_survey(cfg).rows
         assert row["route"] == "tall" and "tall_identity=P" in row["pass_flags"]
-        box = seen["box"]
-        split = tall_box_identity(seen["chi"], Box(box.basis, box.N, box.H))
+        ((box, held),) = seen
+        assert held and format_box_spec(box) == row["box"]
+        fresh = Box(box.basis, box.N, box.H)
+        assert tall_box_identity(fresh)
+        total = box_char_sum(Character(box.ctx, row["char_index"]), fresh)
         bits = lambda z: np.complex128(z).tobytes()
-        assert bits(split.lhs) == bits(seen["split"].lhs) == bits(complex(row["sum_re"], row["sum_im"]))
-        assert bits(split.rhs) == bits(seen["split"].rhs)
+        assert bits(total) == bits(complex(row["sum_re"], row["sum_im"]))
+
+
+class TestExactChecksCanFail:
+    """The route checks are integer equalities; a wrong walk or a wrong
+    partition turns them to F and the row fails."""
+
+    def test_foreign_walk_fails_tall_identity(self, monkeypatch):
+        real_walk = boxes.tall_walk
+
+        def foreign_walk(box):  # the walk of the box one step up the last axis
+            return real_walk(Box(box.basis, box.N[:-1] + (box.N[-1] + 1,), box.H))
+
+        monkeypatch.setattr(boxes, "tall_walk", foreign_walk)
+        cfg = ExperimentConfig(**{**ROUTE_GRID, "boxes": ROUTE_GRID["boxes"][2:]})
+        (row,) = theorem_survey(cfg).rows
+        assert row["route"] == "tall" and "tall_identity=F" in row["pass_flags"]
+        assert not row["_ok"]
+
+    @pytest.mark.parametrize("fault", ["drop", "repeat"])
+    def test_wrong_pieces_fail_partition_sum(self, monkeypatch, fault):
+        real_subdivide = survey_mod.subdivide_box
+
+        def faulty_subdivide(box):
+            pieces = real_subdivide(box)
+            return pieces[1:] if fault == "drop" else pieces + pieces[:1]
+
+        monkeypatch.setattr(survey_mod, "subdivide_box", faulty_subdivide)
+        cfg = ExperimentConfig(**{**ROUTE_GRID, "boxes": ROUTE_GRID["boxes"][1:2]})
+        (row,) = theorem_survey(cfg).rows
+        assert row["route"] == "subdivided" and "partition_sum=F" in row["pass_flags"]
+        assert not row["_ok"]
 
 
 class TestCli:
