@@ -207,9 +207,10 @@ def tall_box_identity(box: Box) -> bool:
 
 def degenerate_pair_set(box: Box) -> set[tuple[int, int]]:
     """A = {(x_1, x_2): x_1 omega_1/omega_3 + x_2 omega_2/omega_3 lies in F_p}:
-    the outer rows of the tall walk whose a_r has index below p."""
+    the outer rows of the tall walk whose a_r has index below p. Only the
+    first layer (H_3 = 1) is walked: a_r + t is in F_p iff a_r is."""
     if box.ctx.n != 3:
         raise BoxError("degenerate pair set is defined for n = 3 boxes")
-    outer, walk = tall_walk(box)
+    outer, walk = tall_walk(Box(box.basis, box.N, box.H[:2] + (1,)))
     rows = np.flatnonzero(walk[:, 0] < box.ctx.p)
     return {(int(outer[r, 0]), int(outer[r, 1])) for r in rows}

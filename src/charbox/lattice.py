@@ -145,7 +145,7 @@ class GaugeBody:
         the polar."""
         w = self.coord_weights()
         if self.kind == "box":
-            top = math.lcm(*w)
+            top = self.gauge_scale(1)
             return tuple(top // wi for wi in w)
         return w
 
@@ -156,16 +156,6 @@ class GaugeBody:
 
     def gauge(self, vec: Sequence[int], denom: int) -> Fraction:
         return Fraction(self.gauge_key(vec, denom), self.gauge_scale(denom))
-
-    def coordinate_bounds(self, lam: Fraction, denom: int) -> list[int]:
-        """Largest |v_j| compatible with gauge <= lam: |v_j| s_j <= floor(lam L)."""
-        cap = int(lam * self.gauge_scale(denom))
-        return [cap // s for s in self._stretch()]
-
-    def l1_cap(self, lam: Fraction, denom: int) -> int | None:
-        if self.kind == "polar":
-            return int(lam * denom)
-        return None
 
 
 def sup_box_body(weights: Sequence[int]) -> GaugeBody:
@@ -361,10 +351,12 @@ class MinimaResult:
 def _shell_vectors(
     lattice: IntLattice, body: GaugeBody, lam: Fraction, counter: _NodeCounter
 ) -> np.ndarray:
-    l1_cap = body.l1_cap(lam, lattice.denom)
-    l1_weights = body.coord_weights() if l1_cap is not None else None
-    return _enumerate_shell(lattice._hermite_form, body.coordinate_bounds(lam, lattice.denom),
-                            l1_weights, l1_cap, counter)
+    """Every nonzero lattice vector of gauge <= lam: |v_j| s_j <= cap = floor(lam L),
+    and for the polar also sum_j |v_j| s_j <= cap."""
+    stretch = body._stretch()
+    cap = int(lam * body.gauge_scale(lattice.denom))
+    l1 = (stretch, cap) if body.kind == "polar" else (None, None)
+    return _enumerate_shell(lattice._hermite_form, [cap // s for s in stretch], *l1, counter)
 
 
 @functools.cache
@@ -418,8 +410,6 @@ def _greedy_minima(lattice: IntLattice, body: GaugeBody, vecs: np.ndarray, limit
     candidate in the span of the witnesses so far. The span test keeps
     integer rows `null` spanning {u : W u = 0} for the witness rows W, so v
     is outside the span iff null @ v != 0."""
-    if len(vecs) == 0:
-        return None
     m = lattice.dim
     limit = m if limit is None else limit
     scale = body.gauge_scale(lattice.denom)
@@ -477,12 +467,12 @@ def first_minimum(
     lattice: IntLattice, body: GaugeBody, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> tuple[Fraction, tuple[int, ...]]:
     """lambda_1 with its canonical witness (cheaper than full minima)."""
+    if body.dim != lattice.dim:
+        raise ValueError("body dimension does not match lattice")
     counter = _NodeCounter(node_budget)
     lam_min = min(body.gauge(r, lattice.denom) for r in _lll_rows(lattice.rows, body._stretch()))
-    vecs = _shell_vectors(lattice, body, lam_min, counter)
-    picked = _greedy_minima(lattice, body, vecs, limit=1)
-    assert picked is not None, "seed shell contains an LLL basis vector"
-    return picked[0][0], picked[1][0]
+    lams, wits = _greedy_minima(lattice, body, _shell_vectors(lattice, body, lam_min, counter), limit=1)
+    return lams[0], wits[0]
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +553,7 @@ def classify_z(box: Box, z: FqElem, node_budget: int = DEFAULT_NODE_BUDGET) -> Z
     minima = minima_for_z(nb, z, node_budget)
     if minima.lambdas[0] > 1:
         raise ValueError("z is not in Z for this box (lambda_1 > 1)")
-    weight = nb.H[n - 2] if n >= 2 else nb.H[0]
-    j = _dyadic_index(weight * minima.lambdas[0])
+    j = _dyadic_index(nb.H[n - 2] * minima.lambdas[0])
 
     # the polar of the same Gamma_z: one lattice and one adjugate for both minima
     lam_star, _wit = first_minimum(polar_of(minima.lattice), polar_body(nb.H), node_budget)

@@ -22,7 +22,7 @@ from .characters import Character, _subinterval_abs, interval_sums_scan
 from .energy import _check_pairs, _pair_chunks, f_count, one_dim_f_counts, s_decomposition, tau_profile
 from .field import cached_field, is_generating
 from .harness import choose_parameters
-from .lattice import classify_z
+from .lattice import classify_z, sup_box_body
 from .sampling import rng_for, sample_basis, sample_box, sample_character, sample_ratio_z
 
 DEFAULT_PILOT_SEED = 20260801
@@ -42,16 +42,15 @@ def _lambda1_key_table(box: Box) -> tuple[np.ndarray, int]:
     coords, idx = b0.coords_grid(), b0.element_indices()
     nz = idx != 0
     coords, idx = coords[nz], idx[nz]
-    scale = math.lcm(*box.H)
-    mult = np.array([scale // h for h in box.H], dtype=np.int64)
-    keys = (np.abs(coords) * mult).max(axis=1)
+    body = sup_box_body(box.H)  # D on Gamma_z (denom 1): x and y share the first n stretches
+    keys = (np.abs(coords) * np.array(body._stretch()[: ctx.n], dtype=np.int64)).max(axis=1)
     dlogs = ctx.dlog_at(idx)
 
     table = np.full(ctx.q1, np.iinfo(np.int64).max, dtype=np.int64)
     for rows, dd in _pair_chunks(dlogs, dlogs, -1, ctx.q1):  # dlog(y) - dlog(x)
         kk = np.maximum(keys[rows, None], keys[None, :])
         np.minimum.at(table, dd.ravel(), kk.ravel())
-    return table, scale
+    return table, body.gauge_scale(1)
 
 
 def _dyadic_class_ratios(box: Box) -> list[tuple[int, int, float]]:
@@ -59,7 +58,7 @@ def _dyadic_class_ratios(box: Box) -> list[tuple[int, int, float]]:
     ctx = box.ctx
     n = ctx.n
     table, scale = _lambda1_key_table(box)
-    weight = box.H[n - 2] if n >= 2 else box.H[0]
+    weight = box.H[n - 2]
 
     subfield = np.zeros(ctx.q1, dtype=bool)
     subfield[np.arange(0, ctx.q1, ctx.q1 // (ctx.p - 1))] = True
@@ -67,7 +66,7 @@ def _dyadic_class_ratios(box: Box) -> list[tuple[int, int, float]]:
     keep = in_z & ~subfield
 
     out = []
-    j_max = int(math.log2(weight)) + 1
+    j_max = weight.bit_length()
     tv = np.where(keep, table, 0)  # avoid weight * intmax overflow outside Z
     for j in range(1, j_max + 1):
         lo, hi = (1 << (j - 1)) * scale, (1 << j) * scale

@@ -394,8 +394,6 @@ def integer_rank(vecs) -> int:
 def greedy_minima_scan(lattice, body, vecs: np.ndarray):
     """The greedy minima by a full (gauge, lexicographic) sort of the shell and
     one echelon independence test per candidate. Sign-normalizes vecs in place."""
-    if len(vecs) == 0:
-        return None
     m = lattice.dim
     scale = body.gauge_scale(lattice.denom)
     keys = np.array([body.gauge_key(v, lattice.denom) for v in vecs.tolist()], dtype=np.int64)

@@ -65,6 +65,16 @@ class TestEvaluation:
         for k in (3, 17, 100):
             assert abs(Character(f31_2, k).values_at(full).sum()) < 1e-9
         assert abs(Character(f31_2, 0).values_at(full).sum() - (f31_2.q - 1)) < 1e-12
+        # exactly: with d = ord(chi_k), chi_k(g^m) = zeta_d^c for the class
+        # c = (k m mod q - 1) / ((q - 1)/d), so the sum over F_q^* is
+        # sum_c h_c zeta_d^c; a constant class histogram h = (q - 1)/d makes it
+        # 0 for d > 1 and q - 1 for d = 1
+        ctx = f31_2
+        dlogs = ctx.dlog_at(full[1:])
+        for k in (0, 1, 3, 17, 100, 480, 959):
+            d = Character(ctx, k).order
+            classes = k * dlogs % ctx.q1 // (ctx.q1 // d)
+            assert np.array_equal(np.bincount(classes, minlength=d), np.full(d, ctx.q1 // d))
 
 
 class TestPrimeSubfieldRestriction:

@@ -8,7 +8,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from charbox import (
     Box,
@@ -24,8 +24,8 @@ from charbox import (
 from charbox.energy import EnergyBudgetError, one_dim_f_counts
 from charbox.lattice import minima_for_z
 from charbox.pilot import _lambda1_key_table
-from charbox.sampling import rng_for, sample_basis, sample_box
-from oracles import energy_bruteforce, exp_table, ratio_bincount_dense
+from charbox.sampling import rng_for, sample_basis, sample_box, sample_ratio_z, sample_z
+from oracles import energy_bruteforce, exp_table, frobenius_basis, ratio_bincount_dense, scaled_basis
 
 energy_mod = importlib.import_module("charbox.energy")  # the package re-exports a function `energy`
 
@@ -344,6 +344,35 @@ class TestSDecomposition:
                     if (x * z - y) % p == 0
                 )
                 assert c == brute
+
+
+class TestRatioInvariances:
+    """Scaling and Frobenius map B0 = difference_box(B) onto the difference box
+    of the image: x z = y iff (lam x) z = lam y iff x^p z^p = y^p. So f_0(z)
+    moves to f_0(z) on lam B and f_0(z^p) on B^sigma, and S, S1, S2 stay, all
+    compared as ints. Bases are transformed after normalize(), which orders
+    them by H."""
+
+    @pytest.mark.parametrize("p, n", [(31, 2), (31, 3), (61, 2)])
+    @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**20))
+    def test_scaling_and_frobenius(self, p, n, seed):
+        ctx = cached_field(p, n, seed=0)
+        rng = rng_for(seed, 53, p, n)
+        nb = sample_box(sample_basis(ctx, rng), rng, regime="small").normalize()
+        nz = difference_box(nb).element_indices()
+        zs = (sample_ratio_z(ctx, nz[nz != 0], rng), sample_z(ctx, rng))
+        f0 = [f_count(ctx, difference_box(nb), z) for z in zs]
+        assert f0[0] > 1  # the ratio z meets a nonzero pair of B0
+        prof = s_decomposition(nb)
+
+        scaled = Box(scaled_basis(nb.basis, sample_z(ctx, rng, outside_prime_subfield=False)), nb.N, nb.H)
+        frob = Box(frobenius_basis(nb.basis), nb.N, nb.H)
+        for image, image_zs in ((scaled, zs), (frob, [ctx.pow(z, p) for z in zs])):
+            assert [f_count(ctx, difference_box(image), z) for z in image_zs] == f0
+            got = s_decomposition(image)
+            assert (got.S, got.S1, got.S2) == (prof.S, prof.S1, prof.S2)
+            assert all(type(v) is int for v in (got.S, got.S1, got.S2))
 
 
 class TestTauProfile:

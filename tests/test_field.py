@@ -261,6 +261,20 @@ class TestTables:
         ]
         assert offenders == []
 
+    def test_only_lattice_takes_an_lcm(self):
+        # the gauge encoding (stretches s_j, scale L) lives behind GaugeBody:
+        # no other module re-derives it from an lcm of the edges
+        src = Path(field.__file__).parent
+        offenders = [
+            f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+            for path in sorted(src.glob("*.py")) if path.name != "lattice.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if (isinstance(node, ast.Attribute) and node.attr == "lcm")
+            or (isinstance(node, ast.Name) and node.id == "lcm")
+            or (isinstance(node, ast.ImportFrom) and any(alias.name == "lcm" for alias in node.names))
+        ]
+        assert offenders == []
+
 
 class TestExpAt:
     # (5, 1) and (7, 3): q - 1 below the block B = 4096; (12289, 1): q - 1 = 3B;

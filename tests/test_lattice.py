@@ -14,6 +14,7 @@ from charbox import (
     classify_z,
     difference_box,
     f_count,
+    first_minimum,
     gamma_z,
     gamma_z_contains,
     lambda1_star,
@@ -191,6 +192,15 @@ class TestSuccessiveMinima:
         for budget in (80, 500):
             with pytest.raises(EnumerationBudgetError, match=f"exceeded {budget} nodes"):
                 minima_for_z(box, ctx.one(), node_budget=budget)
+
+    def test_dimension_mismatch_is_a_value_error(self):
+        # a 6-dim box body and a 2-dim polar on a 4-dim lattice: both entry
+        # points refuse before any reduction or enumeration
+        lat = unit_grid(4)
+        for body in (sup_box_body((1, 2, 3)), polar_body((2,))):
+            for minima in (successive_minima, first_minimum):
+                with pytest.raises(ValueError, match="body dimension"):
+                    minima(lat, body)
 
     def test_deterministic_witnesses(self, f31_3):
         ctx = cached_field(31, 3, seed=0)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from charbox import (
     EnumerationBudgetError,
@@ -318,9 +318,12 @@ class TestHermiteForm:
 
 
 def shell_inputs(lat, body, lam):
-    l1_cap = body.l1_cap(lam, lat.denom)
-    l1_weights = body.coord_weights() if l1_cap is not None else None
-    return lat._hermite_form, body.coordinate_bounds(lam, lat.denom), l1_weights, l1_cap
+    """(hnf, bounds, l1 weights, l1 cap) of the gauge-lam shell: cap = floor(lam L),
+    |v_j| <= cap // s_j, and for the polar the l1 pair (s, cap)."""
+    stretch = kernel_scale(body)
+    cap = math.floor(lam * body.gauge_scale(lat.denom))
+    l1 = (tuple(stretch), cap) if body.kind == "polar" else (None, None)
+    return (lat._hermite_form, [cap // s for s in stretch], *l1)
 
 
 def run_shell(kernel, args, budget):
@@ -361,6 +364,20 @@ class TestBlockedEnumeration:
             lam_min, lam_max = ref_gauges(lat, body)
             for lam in (lam_min, 2 * lam_min, lam_max):
                 assert_same_shell(shell_inputs(lat, body, lam))
+
+    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(gamma_cases())
+    def test_shell_vectors_is_the_gauge_ball(self, case):
+        # the gauge level becomes shell limits in _shell_vectors alone: its
+        # shell is the reference shell of shell_inputs, all of gauge <= lam
+        for lat, body in bodies(*case):
+            lam = 2 * ref_gauges(lat, body)[0]
+            ref, _ = run_shell(ref_enumerate_shell, shell_inputs(lat, body, lam), 400_000)
+            if ref is None:
+                continue
+            got = lattice._shell_vectors(lat, body, lam, lattice._NodeCounter(400_000)).tolist()
+            assert sorted(map(tuple, got)) == sorted(map(tuple, ref.tolist()))
+            assert max(body.gauge(v, lat.denom) for v in got) <= lam
 
     @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(gamma_cases())
@@ -406,7 +423,7 @@ def assert_same_picks(lat, body, vecs):
     assert lattice._greedy_minima(lat, body, got_vecs) == ref
     assert np.array_equal(got_vecs, ref_vecs)
     first = lattice._greedy_minima(lat, body, vecs.copy(), limit=1)
-    assert first == (None if ref is None else (ref[0][:1], ref[1][:1]))
+    assert first == (ref[0][:1], ref[1][:1])
 
 
 @st.composite
@@ -423,6 +440,7 @@ def deficient_shells(draw, top=3):
     outside = rng.integers(-top, top + 1, size=(draw(st.integers(0, 4)), m))
     vecs = np.concatenate([inside, -inside[:20], outside])
     vecs = vecs[vecs.any(axis=1)]  # shells hold nonzero vectors only
+    assume(len(vecs))  # and are never empty: each holds an LLL row or a {-1, 0, 1} combination
     rng.shuffle(vecs)
     body = GaugeBody(draw(st.sampled_from(("box", "polar"))), tuple(draw(st.lists(
         st.integers(1, 3), min_size=n, max_size=n))))
