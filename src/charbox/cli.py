@@ -78,6 +78,8 @@ def _minima(args, ctx, basis, box, chi) -> tuple:
         raise ConfigError(f"--z-index must lie in [0, q) = [0, {ctx.q}), got {args.z_index}")
     if args.z_sweep and ctx.n < 2:
         raise ConfigError("z-sweep needs n >= 2: every z lies in F_p")
+    if args.budget < 1:
+        raise ConfigError(f"--budget must be >= 1, got {args.budget}")
     outputs = []
     if args.z_index is not None:
         res = minima_for_z(box, ctx.decode(args.z_index), args.budget)

@@ -7,15 +7,15 @@ out as an exact Fraction together with an integer witness vector, so the
 Minkowski certificate is a hard zero-tolerance assertion.
 
 Enumeration pipeline, integer arithmetic throughout: a fraction-free integral
-LLL on the integer-rescaled basis sizes one shell, the gauge U of the 2n-th
+LLL on the integer-rescaled basis sizes one shell, the gauge U of the rank-th
 independent vector among the {-1, 0, 1} combinations of the reduced rows
-(so lambda_2n <= U). A blocked numpy walk of the enumeration tree over the
-Hermite triangular basis (computed once per lattice, in the lattice's own
-coordinate order) then lists every lattice vector of gauge <= U. Witnesses
-are picked in at most 2n batched rounds, each a numpy rank test N v != 0
-against integer rows N spanning the complement of the witnesses so far.
-Polar lattices come from the integer adjugate (`charbox.intlinalg`, like the
-Hermite form).
+(lambda_rank <= U; rank 2n for successive_minima, 1 for first_minimum). A
+blocked numpy walk of the enumeration tree over the Hermite triangular basis
+(computed once per lattice, in its own coordinate order) then lists every
+lattice vector of gauge <= U. Witnesses are picked in at most rank batched
+rounds, each a numpy rank test N v != 0 against integer rows N spanning the
+complement of the witnesses so far. Polar lattices come from the integer
+adjugate (`charbox.intlinalg`, like the Hermite form).
 """
 
 from __future__ import annotations
@@ -149,13 +149,13 @@ class GaugeBody:
             return tuple(top // wi for wi in w)
         return w
 
-    def gauge_key(self, vec: Sequence[int], denom: int) -> int:
-        """Integer K with gauge(vec/denom) = K / gauge_scale(denom)."""
+    def gauge_key(self, vec: Sequence[int]) -> int:
+        """Integer K with gauge(vec/denom) = K / gauge_scale(denom), any denom."""
         terms = [abs(v) * s for v, s in zip(vec, self._stretch())]
         return max(terms) if self.kind == "box" else sum(terms)
 
     def gauge(self, vec: Sequence[int], denom: int) -> Fraction:
-        return Fraction(self.gauge_key(vec, denom), self.gauge_scale(denom))
+        return Fraction(self.gauge_key(vec), self.gauge_scale(denom))
 
 
 def sup_box_body(weights: Sequence[int]) -> GaugeBody:
@@ -368,50 +368,59 @@ def _unit_combinations(m: int) -> np.ndarray:
     return coeffs
 
 
-def _combination_bound(lattice: IntLattice, body: GaugeBody) -> Fraction:
-    """U >= lambda_m: the gauge of the m-th greedy pick among the nonzero
-    {-1, 0, 1} combinations of the LLL-reduced rows, m independent lattice
+def _combination_bound(lattice: IntLattice, body: GaugeBody, rank: int) -> Fraction:
+    """U >= lambda_rank: the gauge of the rank-th greedy pick among the nonzero
+    {-1, 0, 1} combinations of the LLL-reduced rows, rank independent lattice
     vectors of gauge <= U; the rows are among them, so U is at most their
-    largest gauge. A combination's gauge key is at most m times the largest
-    row key; Python ints when that could overflow int64."""
+    rank-th least gauge. A combination's gauge key is at most m times the
+    largest row key; Python ints when that could overflow int64."""
     # LLL under the gauge's per-coordinate stretch; the common factor
     # 1/gauge_scale leaves every LLL decision unchanged
     reduced = _lll_rows(lattice.rows, body._stretch())
-    top = len(reduced) * max(body.gauge_key(r, lattice.denom) for r in reduced)
+    top = len(reduced) * max(map(body.gauge_key, reduced))
     dtype = np.int64 if top < 2**63 else object
     vecs = _unit_combinations(len(reduced)).astype(dtype) @ np.array(reduced, dtype=dtype)
-    lams, _ = _greedy_minima(lattice, body, vecs)
+    lams, _ = _greedy_minima(lattice, body, vecs, rank)
     return lams[-1]
+
+
+def _shell_minima(lattice: IntLattice, body: GaugeBody, rank: int, node_budget: int):
+    """(lambdas, witnesses, nodes) of the first rank greedy picks. One shell at
+    the combination bound U >= lambda_rank holds every vector of gauge <=
+    lambda_rank, so the greedy over it makes the picks it would make over the
+    whole lattice."""
+    if body.dim != lattice.dim:
+        raise ValueError("body dimension does not match lattice")
+    counter = _NodeCounter(node_budget)
+    vecs = _shell_vectors(lattice, body, _combination_bound(lattice, body, rank), counter)
+    lams, wits = _greedy_minima(lattice, body, vecs, rank)
+    return tuple(lams), tuple(wits), counter.nodes
 
 
 def successive_minima(
     lattice: IntLattice, body: GaugeBody, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> MinimaResult:
-    """Exact lambda_1..lambda_dim with greedy canonical witnesses.
-
-    One shell at the combination bound U >= lambda_dim holds every vector of
-    gauge <= lambda_dim, so the greedy over it makes the picks it would make
-    over the whole lattice.
-    """
-    if body.dim != lattice.dim:
-        raise ValueError("body dimension does not match lattice")
-    counter = _NodeCounter(node_budget)
-    vecs = _shell_vectors(lattice, body, _combination_bound(lattice, body), counter)
-    lams, wits = _greedy_minima(lattice, body, vecs)
-    return MinimaResult(lattice, body, tuple(lams), tuple(wits), counter.nodes)
+    """Exact lambda_1..lambda_dim with greedy canonical witnesses."""
+    return MinimaResult(lattice, body, *_shell_minima(lattice, body, lattice.dim, node_budget))
 
 
-def _greedy_minima(lattice: IntLattice, body: GaugeBody, vecs: np.ndarray, limit: int | None = None):
-    """The first `limit` (default: the dimension) vectors in (gauge, canonical
-    order) that are independent of those before them. Sign-normalizes vecs
-    in place.
+def first_minimum(
+    lattice: IntLattice, body: GaugeBody, node_budget: int = DEFAULT_NODE_BUDGET
+) -> tuple[Fraction, tuple[int, ...]]:
+    """lambda_1 with its canonical witness (cheaper than full minima)."""
+    lams, wits, _ = _shell_minima(lattice, body, 1, node_budget)
+    return lams[0], wits[0]
 
-    At most `limit` rounds: accept the least candidate left, then drop every
+
+def _greedy_minima(lattice: IntLattice, body: GaugeBody, vecs: np.ndarray, rank: int):
+    """The first `rank` vectors in (gauge, canonical order) that are
+    independent of those before them. Sign-normalizes vecs in place.
+
+    At most `rank` rounds: accept the least candidate left, then drop every
     candidate in the span of the witnesses so far. The span test keeps
     integer rows `null` spanning {u : W u = 0} for the witness rows W, so v
     is outside the span iff null @ v != 0."""
     m = lattice.dim
-    limit = m if limit is None else limit
     scale = body.gauge_scale(lattice.denom)
     terms = (np.abs(vecs[:, j]) * s for j, s in enumerate(body._stretch()))  # one column at a time
     keys = functools.reduce(np.maximum if body.kind == "box" else np.add, terms)
@@ -422,7 +431,7 @@ def _greedy_minima(lattice: IntLattice, body: GaugeBody, vecs: np.ndarray, limit
     cand = np.arange(len(vecs))
     lams: list[Fraction] = []
     wits: list[tuple[int, ...]] = []
-    while len(cand) and len(wits) < limit:
+    while len(cand) and len(wits) < rank:
         cand_keys = keys[cand]
         tied = cand[cand_keys == cand_keys.min()]
         for j in range(m):  # ties break by lexicographic vector order
@@ -431,7 +440,7 @@ def _greedy_minima(lattice: IntLattice, body: GaugeBody, vecs: np.ndarray, limit
         wit = tuple(int(x) for x in vecs[tied[0]])
         lams.append(Fraction(int(keys[tied[0]]), scale))
         wits.append(wit)
-        if len(wits) < limit:
+        if len(wits) < rank:
             null = _null_cut(null, wit)
             cand = cand[_outside_span(vecs, cand, null, vmax)]
     return lams, wits
@@ -461,18 +470,6 @@ def _outside_span(vecs: np.ndarray, cand: np.ndarray, null: list[list[int]], vma
         ((vecs[cand[s:s + _BLOCK]].astype(dtype, copy=False) @ basis) != 0).any(axis=1)
         for s in range(0, len(cand), _BLOCK)
     ])
-
-
-def first_minimum(
-    lattice: IntLattice, body: GaugeBody, node_budget: int = DEFAULT_NODE_BUDGET
-) -> tuple[Fraction, tuple[int, ...]]:
-    """lambda_1 with its canonical witness (cheaper than full minima)."""
-    if body.dim != lattice.dim:
-        raise ValueError("body dimension does not match lattice")
-    counter = _NodeCounter(node_budget)
-    lam_min = min(body.gauge(r, lattice.denom) for r in _lll_rows(lattice.rows, body._stretch()))
-    lams, wits = _greedy_minima(lattice, body, _shell_vectors(lattice, body, lam_min, counter), limit=1)
-    return lams[0], wits[0]
 
 
 # ---------------------------------------------------------------------------

@@ -396,7 +396,7 @@ def greedy_minima_scan(lattice, body, vecs: np.ndarray):
     one echelon independence test per candidate. Sign-normalizes vecs in place."""
     m = lattice.dim
     scale = body.gauge_scale(lattice.denom)
-    keys = np.array([body.gauge_key(v, lattice.denom) for v in vecs.tolist()], dtype=np.int64)
+    keys = np.array([body.gauge_key(v) for v in vecs.tolist()], dtype=np.int64)
     first = np.argmax(vecs != 0, axis=1)  # canonical sign: first nonzero entry > 0
     vecs *= np.sign(vecs[np.arange(len(vecs)), first])[:, None]
     order = np.lexsort(tuple(vecs[:, j] for j in reversed(range(m))) + (keys,))
@@ -423,7 +423,7 @@ def successive_minima_doubling(lattice, body, node_budget: int = 10_000_000):
     counter = lattice_mod._NodeCounter(node_budget)
     while True:
         vecs = lattice_mod._shell_vectors(lattice, body, shell, counter)
-        lams, wits = lattice_mod._greedy_minima(lattice, body, vecs)
+        lams, wits = lattice_mod._greedy_minima(lattice, body, vecs, lattice.dim)
         if len(wits) == lattice.dim:
             return lams, wits, counter.nodes
         assert shell < cap, "the LLL-reduced rows are dim independent vectors"

@@ -127,6 +127,8 @@ def test_amplify_json_matches_golden(capsys, argv, golden):
         (["survey", "--p", "31", "--n", "2", "--random-boxes", "1", "--basis-seed", "-3"],
          "--basis-seed must be >= 0, got -3"),
         (["pilot", "--seed", "-1", "--out", "no-such-dir/fixtures.json"], "--seed must be >= 0, got -1"),
+        (BOX + ["--z-index", "777", "--budget", "0"], "--budget must be >= 1, got 0"),
+        (BOX + ["--z-sweep", "1", "--budget", "-5"], "--budget must be >= 1, got -5"),
     ],
 )
 def test_input_errors_exit_2(capsys, argv, message):

@@ -275,6 +275,27 @@ class TestTables:
         ]
         assert offenders == []
 
+    def test_one_shell_rule_for_every_minimum(self):
+        # successive_minima and first_minimum size their shell one way: LLL
+        # runs only for the combination bound, a shell is enumerated only by
+        # the shared minima helper
+        allowed = {"_lll_rows": "_combination_bound", "_shell_vectors": "_shell_minima"}
+        offenders = []
+
+        def visit(where, node, func):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.Call):
+                    callee = child.func
+                    name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", None)
+                    if name in allowed and func != allowed[name]:
+                        offenders.append(f"{where}:{child.lineno}: {name} in {func}")
+                inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+                visit(where, child, inner)
+
+        for path in sorted(Path(field.__file__).parent.glob("*.py")):
+            visit(path.name, ast.parse(path.read_text()), None)
+        assert offenders == []
+
 
 class TestExpAt:
     # (5, 1) and (7, 3): q - 1 below the block B = 4096; (12289, 1): q - 1 = 3B;

@@ -34,6 +34,14 @@ def unit_grid(dim):
     return IntLattice(tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim)))
 
 
+def l1_ball_points(lambdas, budget):
+    """#{c integer : sum |c_i| lambda_i <= budget}, exact in Fractions."""
+    if not lambdas:
+        return 1
+    lam, rest = lambdas[0], lambdas[1:]
+    return sum((2 if c else 1) * l1_ball_points(rest, budget - c * lam) for c in range(int(budget / lam) + 1))
+
+
 def random_key_box(ctx, rng):
     basis = sample_basis(ctx, rng)
     cap = small_edge_cap(ctx.p)
@@ -423,6 +431,23 @@ class TestLatticeEnergyIdentity:
             for z in (sample_ratio_z(ctx, nz, rng), sample_ratio_z(ctx, nz, rng), sample_z(ctx, rng)):
                 shell = _shell_vectors(gamma_z(ctx, nb.basis, z), sup_box_body(nb.H), 1, _NodeCounter(10**6))
                 assert f_count(ctx, difference_box(nb), z) == 1 + len(shell)
+
+    @pytest.mark.parametrize("p, n", [(31, 2), (31, 3), (61, 2), (61, 3)])
+    def test_f0_is_at_least_the_witness_l1_count(self, p, n):
+        # the points sum c_i w_i over the witnesses w_i with sum |c_i| lambda_i
+        # <= 1 are distinct (the w_i are independent) and have gauge <= 1, so
+        # f_0(z) >= #{c in Z^2n : sum |c_i| lambda_i <= 1}, c = 0 included
+        ctx = cached_field(p, n, seed=0)
+        rng = rng_for(2, 41, p, n)
+        for _ in range(4):
+            N = tuple(int(v) for v in rng.integers(-p, p, size=n))
+            nb = Box(sample_basis(ctx, rng), N, tuple(int(v) for v in rng.integers(1, 4, size=n))).normalize()
+            nz = difference_box(nb).element_indices()
+            nz = nz[nz != 0]
+            for _ in range(3):
+                z = sample_ratio_z(ctx, nz, rng)
+                count = l1_ball_points(minima_for_z(nb, z).lambdas, Fraction(1))
+                assert f_count(ctx, difference_box(nb), z) >= count
 
 
 class TestLatticeInvariances:

@@ -14,13 +14,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from charbox import (
     EnumerationBudgetError,
     GaugeBody,
     IntLattice,
     cached_field,
+    first_minimum,
     gamma_z,
     polar_body,
     polar_of,
@@ -200,17 +201,19 @@ def reference_pipeline():
 # sampled lattices: Gamma_z and its polar for random boxes
 
 
+def gamma_case(p, n, seed, H):
+    ctx = cached_field(p, n, seed=0)
+    rng = rng_for(seed, 77, p, n)
+    return gamma_z(ctx, sample_basis(ctx, rng), sample_z(ctx, rng)), H
+
+
 @st.composite
 def gamma_cases(draw):
     p = draw(st.sampled_from((31, 101, 211)))
     n = draw(st.sampled_from((2, 3)))
     seed = draw(st.integers(0, 2**20))
-    ctx = cached_field(p, n, seed=0)
-    rng = rng_for(seed, 77, p, n)
     cap = small_edge_cap(p) + 2
-    H = tuple(sorted(draw(st.lists(st.integers(1, cap), min_size=n, max_size=n))))
-    lat = gamma_z(ctx, sample_basis(ctx, rng), sample_z(ctx, rng))
-    return lat, H
+    return gamma_case(p, n, seed, tuple(sorted(draw(st.lists(st.integers(1, cap), min_size=n, max_size=n)))))
 
 
 def bodies(lat, H):
@@ -420,9 +423,9 @@ def assert_same_picks(lat, body, vecs):
     ref_vecs = vecs.copy()
     ref = greedy_minima_scan(lat, body, ref_vecs)
     got_vecs = vecs.copy()
-    assert lattice._greedy_minima(lat, body, got_vecs) == ref
+    assert lattice._greedy_minima(lat, body, got_vecs, lat.dim) == ref
     assert np.array_equal(got_vecs, ref_vecs)
-    first = lattice._greedy_minima(lat, body, vecs.copy(), limit=1)
+    first = lattice._greedy_minima(lat, body, vecs.copy(), 1)
     assert first == (ref[0][:1], ref[1][:1])
 
 
@@ -453,7 +456,7 @@ class TestGreedyMinima:
     @given(gamma_cases())
     def test_gamma_shells_equal_scan(self, case):
         for lat, body in bodies(*case):
-            bound = lattice._combination_bound(lat, body)
+            bound = lattice._combination_bound(lat, body, lat.dim)
             for lam in (min(lll_gauges(lat, body)), bound, bound + Fraction(1, body.gauge_scale(lat.denom))):
                 try:
                     vecs = lattice._shell_vectors(lat, body, lam, lattice._NodeCounter(400_000))
@@ -512,17 +515,18 @@ class TestMinimaAgainstReference:
 # one shell at the combination bound against the doubling schedule
 
 
-def assert_least_full_rank_gauge(lat, body):
+def assert_least_rank_gauge(lat, body, rank):
     """U is the least t at which the nonzero {-1, 0, 1} combinations of the
-    LLL rows of gauge <= t reach full rank, and at most the largest LLL gauge."""
+    LLL rows of gauge <= t reach the given rank, and at most the rank-th least
+    LLL gauge."""
     reduced = lattice._lll_rows(lat.rows, body._stretch())
     combos = [[sum(c * r[j] for c, r in zip(coeffs, reduced)) for j in range(lat.dim)]
               for coeffs in itertools.product((-1, 0, 1), repeat=lat.dim) if any(coeffs)]
     gauges = [body.gauge(v, lat.denom) for v in combos]
-    bound = lattice._combination_bound(lat, body)
-    assert bound in gauges and bound <= max(lll_gauges(lat, body))
-    assert integer_rank(v for v, g in zip(combos, gauges) if g < bound) < lat.dim
-    assert integer_rank(v for v, g in zip(combos, gauges) if g <= bound) == lat.dim
+    bound = lattice._combination_bound(lat, body, rank)
+    assert bound in gauges and bound <= sorted(lll_gauges(lat, body))[rank - 1]
+    assert integer_rank(v for v, g in zip(combos, gauges) if g < bound) < rank
+    assert integer_rank(v for v, g in zip(combos, gauges) if g <= bound) >= rank
 
 
 class TestCombinationBound:
@@ -533,13 +537,47 @@ class TestCombinationBound:
             lams, wits, _ = successive_minima_doubling(lat, body)
             res = successive_minima(lat, body)
             assert res.lambdas == tuple(lams) and res.witnesses == tuple(wits)
-            assert lams[-1] <= lattice._combination_bound(lat, body) <= max(lll_gauges(lat, body))
+            assert lams[-1] <= lattice._combination_bound(lat, body, lat.dim) <= max(lll_gauges(lat, body))
 
     @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(gamma_cases())
     def test_bound_is_least_full_rank_gauge(self, case):
         for lat, body in bodies(*case):
-            assert_least_full_rank_gauge(lat, body)
+            assert_least_rank_gauge(lat, body, lat.dim)
+
+    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(gamma_cases())
+    def test_rank_1_bound_is_least_combination_gauge(self, case):
+        for lat, body in bodies(*case):
+            assert_least_rank_gauge(lat, body, 1)
+            # the lambda_1 shell is never larger than one at the least LLL-row gauge
+            assert lattice._combination_bound(lat, body, 1) <= min(lll_gauges(lat, body))
+
+    @KERNEL_SETTINGS
+    @given(gamma_cases())
+    def test_first_minimum_is_the_first_greedy_pick(self, case):
+        for lat, body in bodies(*case):
+            res = successive_minima(lat, body)
+            assert first_minimum(lat, body) == (res.lambdas[0], res.witnesses[0])
+
+    @KERNEL_SETTINGS
+    @given(gamma_cases())
+    @example(gamma_case(31, 3, 8, (1, 1, 1)))  # both bodies: a combination beats the least LLL row
+    def test_first_minimum_shell_is_the_rank_1_bound(self, case):
+        # first_minimum enumerates one shell, at the combination bound of rank 1
+        levels = []
+        shell_vectors = lattice._shell_vectors
+
+        def recording(lat, body, lam, counter):
+            levels.append(lam)
+            return shell_vectors(lat, body, lam, counter)
+
+        for lat, body in bodies(*case):
+            levels.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lattice, "_shell_vectors", recording)
+                first_minimum(lat, body)
+            assert levels == [lattice._combination_bound(lat, body, 1)]
 
     def test_python_int_combinations_past_int64(self):
         # rows near 2^40, stretch 2^22 on coordinates 0 and 2, and the LLL-
@@ -555,7 +593,7 @@ class TestCombinationBound:
         body = sup_box_body((1, 2**22))
         assert sorted(lattice._lll_rows(lat.rows, body._stretch())) == sorted(reduced)
         assert (x + x // 2 - d) * 2**22 >= 2**63
-        assert lattice._combination_bound(lat, body) == z + e
-        assert_least_full_rank_gauge(lat, body)
+        assert lattice._combination_bound(lat, body, lat.dim) == z + e
+        assert_least_rank_gauge(lat, body, lat.dim)
         with pytest.raises(OverflowError, match="int64"):  # the shell at U does not fit either
             successive_minima(lat, body)
