@@ -161,19 +161,17 @@ def generator_interval_sum(
     return value, abs(value) / (math.sqrt(ctx.p) * math.log(ctx.p))
 
 
-def interval_sums_scan(chi: Character, a: FqElem) -> np.ndarray:
-    """|sum over t in [lo, hi] of chi(a + t)| for all 1 <= lo <= hi <= p.
-
-    Returns the flattened magnitudes; used by the generator-shift and
-    Polya-Vinogradov pilot scans via prefix sums.
-    """
+def interval_sums_scan(chi: Character, a: FqElem) -> float:
+    """max over 1 <= lo <= hi <= p of |sum over t in [lo, hi] of chi(a + t)|,
+    normalized by sqrt(p) log p (the generator-shift pilot scan)."""
     ctx = chi.ctx
     ts = np.arange(1, ctx.p + 1, dtype=np.int64)
-    return _subinterval_abs(chi.values_at(ctx.add_int_array(ctx.encode(a), ts)))
+    return _max_interval_ratio(chi.values_at(ctx.add_int_array(ctx.encode(a), ts)), ctx.p)
 
 
-def _subinterval_abs(vals: np.ndarray) -> np.ndarray:
-    """|vals[lo] + ... + vals[hi]| for all lo <= hi, in np.triu_indices order."""
+def _max_interval_ratio(vals: np.ndarray, p: int) -> float:
+    """max over lo <= hi of |vals[lo] + ... + vals[hi]| / (sqrt(p) log p), one
+    row of prefix differences at a time, so memory stays O(len(vals))."""
     prefix = np.concatenate([[0j], np.cumsum(vals)])
-    lo, hi = np.triu_indices(len(vals))
-    return np.abs(prefix[hi + 1] - prefix[lo])
+    best = max(np.abs(prefix[lo + 1:] - prefix[lo]).max() for lo in range(len(vals)))
+    return float(best / (math.sqrt(p) * math.log(p)))

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .boxes import Box, difference_box, scaled_box
-from .characters import Character, _subinterval_abs, interval_sums_scan
+from .characters import Character, _max_interval_ratio, interval_sums_scan
 from .energy import _check_pairs, _pair_chunks, f_count, one_dim_f_counts, s_decomposition, tau_profile
 from .field import cached_field, is_generating
 from .harness import choose_parameters
@@ -83,8 +83,7 @@ def _prime_interval_scan(chi: Character, omega_n) -> float:
     ctx = chi.ctx
     ts = np.arange(1, ctx.p + 1, dtype=np.int64)
     coords = (ts[:, None] * np.array(omega_n, dtype=np.int64)[None, :]) % ctx.p
-    scan = _subinterval_abs(chi.values_at(ctx.encode_array(coords)))
-    return float(scan.max() / (math.sqrt(ctx.p) * math.log(ctx.p)))
+    return _max_interval_ratio(chi.values_at(ctx.encode_array(coords)), ctx.p)
 
 
 def pilot_fixtures(seed: int = DEFAULT_PILOT_SEED) -> dict:
@@ -161,8 +160,7 @@ def pilot_fixtures(seed: int = DEFAULT_PILOT_SEED) -> dict:
                     continue
                 for _ in range(5):
                     chi = sample_character(ctx, rng)
-                    scan = interval_sums_scan(chi, a)
-                    best = max(best, float(scan.max() / (math.sqrt(p) * math.log(p))))
+                    best = max(best, interval_sums_scan(chi, a))
         c_est[str(n)] = best
 
     return {

@@ -13,11 +13,9 @@ process that started it: a forked child starts without it. If a worker dies,
 the pool is dropped and the call runs once more on a fresh pool. Workers are
 forked, so they run the code as it was when the pool started (a function
 patched later in the parent is not seen until `_shutdown_pool()`), and they
-inherit the parent's field cache. A pool is kept past a call only if its
-workers built no field of their own: a call that needs a field they did not
-inherit starts a fresh pool, and if the parent does not hold that field
-either, the workers build it and the pool is shut down when the call ends.
-So workers never hold more fields than the parent did when they forked. The
+inherit the parent's field cache. A pooled call first builds its fields in
+the parent, then starts a fresh pool if the workers did not inherit one of
+them, so workers hold no field the parent did not hold when they forked. The
 reuse pays only where one process makes several pooled calls; a single call,
 as `charbox survey` or `charbox run` makes, forks and joins one pool as before.
 """
@@ -26,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -85,6 +84,8 @@ class ExperimentConfig:
         # an empty p_list is legal: empty report, exit 0
         if self.n not in (2, 3):
             raise ConfigError(f"survey degree must be 2 or 3, got {self.n}")
+        if self.modulus is not None and len(self.modulus) != self.n + 1:
+            raise ConfigError(f"modulus must have n + 1 = {self.n + 1} coefficients, got {self.modulus}")
         if not 0 < self.eps < 0.5:
             raise ConfigError(f"eps must lie in (0, 1/2), got {self.eps}")
         if self.box_regime not in _BOX_REGIMES:
@@ -151,19 +152,20 @@ def _route_for(box: Box, eps: float) -> str:
     return "tall"
 
 
-def _survey_row(task: dict) -> dict:
-    """One grid cell, never raising: failures come back as error rows so a
-    long survey keeps going."""
+def _survey_row(cfg: ExperimentConfig, cell: tuple[int, int, int]) -> dict:
+    """The grid cell (p_index, box_index, char_slot) of `cfg`, never raising:
+    failures come back as error rows so a long survey keeps going."""
+    p_index, box_index, char_slot = cell
     try:
-        return _survey_row_inner(task)
+        return _survey_row_inner(cfg, p_index, box_index, char_slot)
     except Exception as exc:  # recorded per row, survey continues
         return {
-            "p": task["p"],
-            "n": task["n"],
-            "eps": task["eps"],
-            "char_index": task["char_index"] if task["char_index"] is not None else -1,
-            "basis_seed": task["basis_seed"],
-            "box": task["box_spec"] or "",
+            "p": cfg.p_list[p_index],
+            "n": cfg.n,
+            "eps": cfg.eps,
+            "char_index": cfg.char_indices[char_slot] if cfg.char_indices is not None else -1,
+            "basis_seed": cfg.basis_seed,
+            "box": cfg.boxes[box_index] if cfg.boxes is not None else "",
             "H_sorted": "",
             "sum_re": 0.0,
             "sum_im": 0.0,
@@ -177,23 +179,20 @@ def _survey_row(task: dict) -> dict:
         }
 
 
-def _survey_row_inner(task: dict) -> dict:
-    p, n = task["p"], task["n"]
-    ctx = cached_field(p, n, modulus=task["modulus"], seed=task["seed"])
-    basis = sample_basis(ctx, rng_for(task["basis_seed"], p, n, 7))
-    if task["box_spec"] is not None:
-        box = parse_box_spec(basis, task["box_spec"])
+def _survey_row_inner(cfg: ExperimentConfig, p_index: int, box_index: int, char_slot: int) -> dict:
+    p, n = cfg.p_list[p_index], cfg.n
+    ctx = cached_field(p, n, modulus=cfg.modulus, seed=cfg.seed)
+    basis = sample_basis(ctx, rng_for(cfg.basis_seed, p, n, 7))
+    if cfg.boxes is not None:
+        box = parse_box_spec(basis, cfg.boxes[box_index])
     else:
-        box = sample_box(basis, rng_for(task["seed"], task["p_index"], task["box_index"], 11),
-                         regime=task["box_regime"])
-    if task["char_index"] is not None:
-        chi = Character(ctx, task["char_index"])
+        box = sample_box(basis, rng_for(cfg.seed, p_index, box_index, 11), regime=cfg.box_regime)
+    if cfg.char_indices is not None:
+        chi = Character(ctx, cfg.char_indices[char_slot])
     else:
-        chi = sample_character(
-            ctx, rng_for(task["seed"], task["p_index"], task["box_index"], task["char_slot"], 13)
-        )
+        chi = sample_character(ctx, rng_for(cfg.seed, p_index, box_index, char_slot, 13))
 
-    eps = task["eps"]
+    eps = cfg.eps
     route = _route_for(box, eps)
     total = box_char_sum(chi, box)  # the one chi evaluation; B's indices are cached on the box
     checks: dict[str, bool] = {}
@@ -219,7 +218,7 @@ def _survey_row_inner(task: dict) -> dict:
         "n": n,
         "eps": eps,
         "char_index": chi.k,
-        "basis_seed": task["basis_seed"],
+        "basis_seed": cfg.basis_seed,
         "box": format_box_spec(box),
         "H_sorted": ":".join(str(h) for h in sorted(box.H)),
         "sum_re": total.real,
@@ -242,33 +241,6 @@ class SurveyReport:
     @property
     def all_ok(self) -> bool:
         return all(row["_ok"] for row in self.rows)
-
-
-def _build_tasks(cfg: ExperimentConfig) -> list[dict]:
-    # None marks a seeded random box or character
-    box_specs = cfg.boxes if cfg.boxes is not None else [None] * cfg.random_boxes
-    char_ks = cfg.char_indices if cfg.char_indices is not None else [None] * cfg.random_chars
-    tasks = []
-    for p_index, p in enumerate(cfg.p_list):
-        for box_index, box_spec in enumerate(box_specs):
-            for char_slot, char_index in enumerate(char_ks):
-                tasks.append(
-                    {
-                        "p": p,
-                        "n": cfg.n,
-                        "eps": cfg.eps,
-                        "modulus": tuple(cfg.modulus) if cfg.modulus else None,
-                        "basis_seed": cfg.basis_seed,
-                        "seed": cfg.seed,
-                        "p_index": p_index,
-                        "box_index": box_index,
-                        "box_spec": box_spec,
-                        "box_regime": cfg.box_regime,
-                        "char_slot": char_slot,
-                        "char_index": char_index,
-                    }
-                )
-    return tasks
 
 
 # The live survey pool as (workers, field keys, pool), or None; the keys are
@@ -307,33 +279,39 @@ def _pool(workers: int, fields: set) -> ProcessPoolExecutor:
     return _POOL[2]
 
 
-def _pooled_rows(tasks: list[dict], workers: int) -> list[dict]:
-    """Rows in grid order. A pool broken by a dead worker, perhaps one that died
-    between calls, is dropped and the call runs once more on a fresh pool, so a
-    task that kills its worker runs twice before the error comes out. A pool
-    whose workers had to build a field is shut down at the end of the call."""
-    fields = {field.field_key(t["p"], t["n"], t["modulus"], t["seed"]) for t in tasks}
+def _pooled_rows(cfg: ExperimentConfig, cells: list[tuple[int, int, int]]) -> list[dict]:
+    """Rows in grid order. The parent builds the call's fields first, so the
+    pool's workers inherit them; a field whose build raises is left to its
+    rows, which record the error. A pool broken by a dead worker, perhaps one
+    that died between calls, is dropped and the call runs once more on a fresh
+    pool, so a cell that kills its worker runs twice before the error comes out."""
+    fields = set()
+    for p in cfg.p_list:
+        try:
+            cached_field(p, cfg.n, cfg.modulus, cfg.seed)
+        except Exception:  # the rows of p record it
+            continue
+        fields.add(field.field_key(p, cfg.n, cfg.modulus, cfg.seed))
     for attempt in (0, 1):
         try:
-            rows = list(_pool(workers, fields).map(_survey_row, tasks, chunksize=1))
+            pool = _pool(cfg.workers, fields)
+            return list(pool.map(_survey_row, itertools.repeat(cfg), cells, chunksize=1))
         except BrokenProcessPool:
             _shutdown_pool()
             if attempt:
                 raise
-            continue
-        if not fields <= _POOL[1]:
-            _shutdown_pool()
-        return rows
 
 
 def theorem_survey(cfg: ExperimentConfig) -> SurveyReport:
     cfg.validate()
-    tasks = _build_tasks(cfg)
-    if cfg.workers > 1 and len(tasks) > 1:
+    n_boxes = len(cfg.boxes) if cfg.boxes is not None else cfg.random_boxes
+    n_chars = len(cfg.char_indices) if cfg.char_indices is not None else cfg.random_chars
+    cells = list(itertools.product(range(len(cfg.p_list)), range(n_boxes), range(n_chars)))
+    if cfg.workers > 1 and len(cells) > 1:
         with _POOL_LOCK:
-            rows = _pooled_rows(tasks, cfg.workers)
+            rows = _pooled_rows(cfg, cells)
     else:
-        rows = [_survey_row(t) for t in tasks]
+        rows = [_survey_row(cfg, cell) for cell in cells]
 
     medians = {}
     for p in cfg.p_list:

@@ -37,6 +37,14 @@ def exp_table(ctx) -> np.ndarray:
     return exp
 
 
+def subinterval_abs_triangle(vals) -> np.ndarray:
+    """|vals[lo] + ... + vals[hi]| for all lo <= hi, in np.triu_indices order:
+    every pair at once, O(len(vals)^2) memory."""
+    prefix = np.concatenate([[0j], np.cumsum(vals)])
+    lo, hi = np.triu_indices(len(vals))
+    return np.abs(prefix[hi + 1] - prefix[lo])
+
+
 def energy_bruteforce(ctx, elements) -> int:
     """Quadruple-definition oracle, O(|B|^3)."""
     elems = list(elements)

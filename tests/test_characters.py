@@ -19,7 +19,7 @@ from charbox import (
 )
 from charbox.sampling import rng_for, sample_basis, sample_character, sample_z, small_edge_cap
 from charbox.boxes import tall_walk
-from oracles import check_tall_split, frobenius_basis, scaled_basis, seeded_basis
+from oracles import check_tall_split, frobenius_basis, scaled_basis, seeded_basis, subinterval_abs_triangle
 
 
 class TestEvaluation:
@@ -178,15 +178,30 @@ class TestGeneratorIntervalSum:
     def test_scan_matches_direct_max(self, f31_2):
         chi = Character(f31_2, 11)
         a = (2, 1)
-        scan = interval_sums_scan(chi, a)
-        assert len(scan) == 31 * 32 // 2
+        ts = np.arange(1, 32, dtype=np.int64)
+        triangle = subinterval_abs_triangle(chi.values_at(f31_2.add_int_array(f31_2.encode(a), ts)))
         direct = [
             abs(sum(chi.value(f31_2.add(a, f31_2.from_int(t))) for t in range(lo, hi + 1)))
             for lo in range(1, 32)
             for hi in range(lo, 32)
         ]
-        assert np.allclose(scan, direct, rtol=0, atol=1e-9)  # every [lo, hi], in triu order
-        assert abs(scan.max() - max(direct)) < 1e-9
+        assert np.allclose(triangle, direct, rtol=0, atol=1e-9)  # every [lo, hi], in triu order
+        norm = math.sqrt(31) * math.log(31)
+        assert interval_sums_scan(chi, a) == float(triangle.max() / norm)
+        assert abs(interval_sums_scan(chi, a) * norm - max(direct)) < 1e-9
+
+    @pytest.mark.parametrize("p, n", [(31, 2), (101, 2), (211, 2), (31, 3)])
+    def test_row_scan_max_equals_triangle_max(self, p, n):
+        # the row-at-a-time kernel takes the same float op per pair as the
+        # triangle, so the maxima agree exactly
+        ctx = cached_field(p, n, seed=0)
+        rng = rng_for(5, p, n)
+        ts = np.arange(1, p + 1, dtype=np.int64)
+        for _ in range(6):
+            a = ctx.decode(int(rng.integers(ctx.p, ctx.q)))
+            chi = sample_character(ctx, rng)
+            triangle = subinterval_abs_triangle(chi.values_at(ctx.add_int_array(ctx.encode(a), ts)))
+            assert interval_sums_scan(chi, a) == float(triangle.max() / (math.sqrt(p) * math.log(p)))
 
 
 class TestPolyaVinogradov:

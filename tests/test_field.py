@@ -275,6 +275,20 @@ class TestTables:
         ]
         assert offenders == []
 
+    def test_no_module_calls_triu_indices(self):
+        # interval maxima take one row of prefix differences at a time; the
+        # all-pairs triangle (O(p^2) memory) is only the test oracle
+        src = Path(field.__file__).parent
+        offenders = [
+            f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+            for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if (isinstance(node, ast.Attribute) and node.attr == "triu_indices")
+            or (isinstance(node, ast.Name) and node.id == "triu_indices")
+            or (isinstance(node, ast.ImportFrom) and any(a.name == "triu_indices" for a in node.names))
+        ]
+        assert offenders == []
+
     def test_one_shell_rule_for_every_minimum(self):
         # successive_minima and first_minimum size their shell one way: LLL
         # runs only for the combination bound, a shell is enumerated only by

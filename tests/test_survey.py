@@ -43,9 +43,11 @@ def _workers() -> dict:
     return dict(survey_mod._POOL[2]._processes)
 
 
-def _field_cache_keys() -> set:
-    """Run in a pool worker: the keys of its field cache."""
-    return set(field._FIELD_CACHE)
+def _worker_field_keys() -> tuple[int, set]:
+    """Run in a pool worker: its pid and the keys of its field cache, after a
+    pause that leaves the next task to another worker."""
+    time.sleep(0.05)
+    return os.getpid(), set(field._FIELD_CACHE)
 
 
 class TestConfig:
@@ -91,6 +93,10 @@ class TestConfig:
              "seed and basis_seed must be >= 0, got -1, 1"),
             ({"p_list": [31], "n": 2, "random_boxes": 1, "basis_seed": -3},
              "seed and basis_seed must be >= 0, got 0, -3"),
+            ({"p_list": [31], "n": 2, "random_boxes": 1, "modulus": []},
+             "modulus must have n + 1 = 3 coefficients, got []"),
+            ({"p_list": [31], "n": 2, "random_boxes": 1, "modulus": [1, 1]},
+             "modulus must have n + 1 = 3 coefficients, got [1, 1]"),
         ],
     )
     def test_field_types_validated(self, tmp_path, capsys, data, message):
@@ -330,6 +336,26 @@ class TestErrorRows:
         assert bad["pass_flags"].startswith("error=")
         assert not report.all_ok
 
+    @pytest.mark.parametrize(
+        "grid, errors",
+        [
+            (dict(p_list=[31, 33], n=2, boxes=["0:3,1:4", "0:3"], char_indices=[1, 7]),
+             ["31,2,0.3,1,1,0:3,,0,0,0,0,0,error,error=BoxError",
+              "31,2,0.3,7,1,0:3,,0,0,0,0,0,error,error=BoxError",
+              '33,2,0.3,1,1,"0:3,1:4",,0,0,0,0,0,error,error=FieldError',
+              '33,2,0.3,7,1,"0:3,1:4",,0,0,0,0,0,error,error=FieldError',
+              "33,2,0.3,1,1,0:3,,0,0,0,0,0,error,error=FieldError",
+              "33,2,0.3,7,1,0:3,,0,0,0,0,0,error,error=FieldError"]),
+            # a random box or character that was never drawn reads "" and -1
+            (dict(p_list=[31, 33], n=2, random_boxes=2, random_chars=2, seed=4),
+             ["33,2,0.3,-1,1,,,0,0,0,0,0,error,error=FieldError"] * 4),
+        ],
+    )
+    def test_error_rows_pinned(self, grid, errors):
+        texts = [render_csv(theorem_survey(ExperimentConfig(**grid, workers=w))) for w in (1, 2)]
+        assert texts[0] == texts[1]
+        assert [line for line in texts[0].splitlines() if ",error," in line] == errors
+
     def test_injected_fault_keeps_message_other_rows_identical(self, monkeypatch):
         cfg = FAULT_GRID
         clean = theorem_survey(ExperimentConfig(**cfg))
@@ -431,17 +457,25 @@ class TestPool:
         self._csv(2)
         inherited = survey_mod._POOL[1]
         assert field.field_key(31, 2, seed=self.GRID["seed"]) in inherited
-        assert survey_mod._POOL[2].submit(_field_cache_keys).result() == inherited
+        assert survey_mod._POOL[2].submit(_worker_field_keys).result()[1] == inherited
 
-    def test_fields_built_by_workers_go_with_their_call(self):
-        self._csv(2)
-        old = _workers()
-        for seed in (101, 102):  # fields the parent never builds
-            key = field.field_key(31, 2, seed=seed)
-            field._FIELD_CACHE.pop(key, None)
-            self._csv(2, seed=seed)
-            assert survey_mod._POOL is None and key not in field._FIELD_CACHE
-        assert not any(proc.is_alive() for proc in old.values())
+    def test_field_the_parent_lacked_is_built_there_and_pool_kept(self):
+        key = field.field_key(31, 2, seed=101)
+        field._FIELD_CACHE.pop(key, None)
+        first = self._csv(2, seed=101)
+        assert key in field._FIELD_CACHE and survey_mod._POOL is not None
+        pids = set(_workers())
+        assert self._csv(2, seed=101) == first == self._csv(1, seed=101)
+        assert set(_workers()) == pids
+        inherited = survey_mod._POOL[1]
+        assert key in inherited
+        seen = {}
+        deadline = time.monotonic() + 30
+        while set(seen) != pids:
+            assert time.monotonic() < deadline, "a worker took no task within 30 s"
+            futures = [survey_mod._POOL[2].submit(_worker_field_keys) for _ in pids]
+            seen.update(f.result() for f in futures)
+        assert all(keys == inherited for keys in seen.values())
 
     def test_field_built_later_in_parent_starts_fresh_kept_pool(self):
         self._csv(2)
