@@ -4,15 +4,16 @@ Elements are coefficient tuples in the power basis of a monic irreducible
 modulus polynomial. One kernel multiplies, the regular representation
 M(a) = sum_k a_k C^k (C the companion matrix of the modulus, C^k built once
 per field): `FieldCtx.mul_matrix` over arrays, `FieldCtx.mul` in Python ints.
-Every field carries one dense int32 discrete-log table, filled by one
-multiplicative sweep and read as int64 (`FieldCtx.dlog_at`); characters read
-dlogs from it and evaluate chi only where asked. Powers g^m are not tabled:
-`FieldCtx.exp_at` writes m = jB + r and multiplies the coordinates of g^r
-(baby steps) by the multiplication matrix of g^(jB) (giant steps), two
-tables of at most 4096 rows (sqrt(q) at the 2^24 budget) that the sweep
-leaves behind. A basis matrix is inverted over F_p as its integer adjugate
-times det^-1 mod p (`charbox.intlinalg`). Fields are immutable after
-construction and safe to share between workers.
+Every field carries one dense int32 discrete-log table, read as int64
+(`FieldCtx.dlog_at`); characters read dlogs from it and evaluate chi only
+where asked. Powers g^m are not tabled: `FieldCtx.exp_at` writes m = jB + r
+and multiplies the coordinates of g^r (baby steps) by the multiplication
+matrix of g^(jB) (giant steps), two tables of at most 4096 rows (sqrt(q) at
+the 2^24 budget). The build computes one power of g per coset of F_p^* in
+F_q^* and fills the rest of the dlog table by scaling (`_build_tables`). A
+basis matrix is inverted over F_p as its integer adjugate times det^-1 mod p
+(`charbox.intlinalg`). Fields are immutable after construction and safe to
+share between workers.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ class FieldCtx:
         dlog: read-only int32 array of size q; dlog[encode(a)] = m with
               g^m = a, and dlog[0] = -1.
         baby: read-only int64 (B, n); row r holds the coordinates of g^r,
-              for the sweep's block B = min(4096, q - 1).
+              for the block B = min(4096, q - 1).
         giant: read-only int64 (ceil((q - 1) / B), n, n); giant[j] is the
                multiplication matrix of g^(jB), so g^(jB + r) has the
                coordinates giant[j] @ baby[r] mod p.
@@ -256,35 +257,105 @@ def _find_generator(ctx: FieldCtx) -> FqElem:
     raise FieldError("no generator found (unreachable for a true field)")
 
 
-def _build_tables(ctx: FieldCtx) -> None:
-    """One multiplicative sweep g^0, g^1, ... done in matrix blocks of B rows;
-    it fills dlog and keeps the first block (baby) and each block's first
-    row g^(jB), whose multiplication matrices are giant. Every matrix comes
-    from `FieldCtx.mul_matrix`, so the sweep makes no scalar product."""
-    g = ctx.mul_matrix(ctx.g)  # M(g)
-    block = min(4096, ctx.q1)
-    baby = np.array([ctx.one()], dtype=np.int64)
-    while len(baby) < block:  # doubling: g^k ... g^(2k-1) = g^k * (g^0 ... g^(k-1)), g^k = g * g^(k-1)
-        baby = np.concatenate([baby, baby @ ctx.mul_matrix(g @ baby[-1] % ctx.p).T % ctx.p])[:block]
-    step = ctx.mul_matrix(g @ baby[-1] % ctx.p).T  # g^B
+_SLAB = 1 << 17  # table entries per step of the build: a slab of int64 is 1 MiB
 
+
+def _build_tables(ctx: FieldCtx) -> None:
+    """baby and giant by doubling, then dlog from the cosets of F_p^*.
+
+    F_p^* is the subgroup of index T = (q - 1)/(p - 1) in F_q^*, generated
+    by c = g^T, so dlog c^k = kT; at n = 1, T = 1 and this is the whole
+    table, filled from the powers of g in slabs. For n > 1 every other
+    entry follows from one power of g per coset (`_fill_cosets`). Two
+    checks raise FieldError unless g has order q - 1: the powers of c cover
+    F_p^*, and the powers g^i, i < T, lie in T distinct cosets. Together
+    they say that g generates F_q^* / F_p^* and g^T the kernel."""
+    block = min(4096, ctx.q1)
+    ctx.baby = _powers(ctx, ctx.g, block)
+    g_block = ctx.mul_matrix(ctx.g) @ ctx.baby[-1] % ctx.p  # g^B
+    ctx.giant = ctx.mul_matrix(_powers(ctx, g_block, -(-ctx.q1 // block)))
+
+    p, t_index = ctx.p, ctx.q1 // (ctx.p - 1)
     dlog = np.full(ctx.q, -1, dtype=np.int32)  # int32 from the start: no int64 table is ever held
-    starts = np.empty((-(-ctx.q1 // block), ctx.n), dtype=np.int64)
-    coeffs, done = baby, 0
-    while done < ctx.q1:
-        take = min(block, ctx.q1 - done)
-        dlog[ctx.encode_array(coeffs[:take])] = np.arange(done, done + take)
-        starts[done // block] = coeffs[0]
-        done += take
-        if done < ctx.q1:
-            coeffs = (coeffs @ step) % ctx.p
-    chunk = 1 << 20  # counted in slices: a q-sized mask would add q bytes to the peak
-    if sum(int(np.count_nonzero(dlog[s : s + chunk] >= 0)) for s in range(0, ctx.q, chunk)) != ctx.q1:
-        raise FieldError("dlog sweep did not cover F_q^* (generator order wrong)")
-    giant = ctx.mul_matrix(starts)
-    for table in (dlog, baby, giant):
+    if ctx.n == 1:
+        for m0, coords in _power_slabs(ctx, ctx.q1):
+            dlog[coords[:, 0]] = np.arange(m0, m0 + len(coords), dtype=np.int32)
+    else:
+        kt = np.arange(p - 1, dtype=np.int64) * t_index
+        dlog[ctx.exp_at(kt)] = kt  # c^k = g^(kT)
+    if not all((dlog[s : min(s + _SLAB, p)] >= 0).all() for s in range(1, p, _SLAB)):
+        raise FieldError("g^((q-1)/(p-1)) does not generate F_p^* (generator order wrong)")
+    if ctx.n > 1:
+        _fill_cosets(ctx, dlog, t_index)
+    for table in (dlog, ctx.baby, ctx.giant):
         table.setflags(write=False)
-    ctx.dlog, ctx.baby, ctx.giant = dlog, baby, giant
+    ctx.dlog = dlog
+
+
+def _powers(ctx: FieldCtx, h: FqElem | np.ndarray, count: int) -> np.ndarray:
+    """Coordinates of h^0 .. h^(count - 1) by doubling: h^k .. h^(2k - 1) =
+    h^k * (h^0 .. h^(k - 1)), with h^k = h * h^(k - 1)."""
+    h = ctx.mul_matrix(h)
+    out = np.array([ctx.one()], dtype=np.int64)
+    while len(out) < count:
+        out = np.concatenate([out, out @ ctx.mul_matrix(h @ out[-1] % ctx.p).T % ctx.p])[:count]
+    return out
+
+
+def _power_slabs(ctx: FieldCtx, stop: int):
+    """(m0, coords) over slabs of the powers g^m, m < stop: row i of coords
+    holds the coordinates of g^(m0 + i), giant[j] @ baby[r] for whole
+    blocks of baby at once."""
+    block = len(ctx.baby)
+    rows = max(1, _SLAB // (block * ctx.n))
+    for j in range(0, -(-stop // block), rows):
+        coords = ctx.baby @ ctx.giant[j : j + rows].transpose(0, 2, 1)  # [j, r] = (giant[j] @ baby[r])^T
+        coords %= ctx.p
+        yield j * block, coords.reshape(-1, ctx.n)[: stop - j * block]
+
+
+def _fill_cosets(ctx: FieldCtx, dlog: np.ndarray, t_index: int) -> None:
+    """dlog off F_p, given dlog on F_p^*.
+
+    Write x in F_q^* as lam * u, with lam in F_p^* its top nonzero
+    coordinate and u = x / lam, whose top coordinate is 1: dlog x =
+    dlog lam + dlog u mod q - 1. The u are the indices [p^t, 2 p^t), one per
+    coset; u = g^i / lam for the power g^i, i < T, in its coset gives
+    dlog u = i - dlog lam. Each other block [lam p^t, (lam + 1) p^t) then
+    reads the lam = 1 block at its lower digits divided by lam.
+
+    Division by lam = c^j needs no mod p. With a = c^e, a / lam = c^(e - j),
+    so a / lam = rot[at[a] - j] for rot = (c^0 .. c^(p-2)) twice and then
+    p - 1 zeros, at[a] = e + p - 1 and at[0] = 3(p - 1) - 1. The lam = 1
+    block with each axis of digits permuted by rot is ext, so the lam block
+    is one gather from ext at a fixed index minus j times a shift, plus jT
+    mod q - 1."""
+    p, n, q1 = ctx.p, ctx.n, ctx.q1
+    logc = dlog[1:p].astype(np.int64) // t_index  # logc[a - 1] = log_c a
+    cpow = np.empty(p - 1, dtype=np.int64)
+    cpow[logc] = np.arange(1, p)
+    width = 3 * (p - 1)
+    rot = np.concatenate([cpow, cpow, np.zeros(p - 1, dtype=np.int64)])
+    at = np.concatenate([[width - 1], logc + p - 1])
+    for m0, coords in _power_slabs(ctx, t_index):
+        j = logc[coords[np.arange(len(coords)), n - 1 - np.argmax(coords[:, ::-1] != 0, axis=1)] - 1]
+        dlog[ctx.encode_array(rot[at[coords] - j[:, None]])] = (np.arange(m0, m0 + len(coords)) - j * t_index) % q1
+    if not all((dlog[p**t : 2 * p**t] >= 0).all() for t in range(1, n)):
+        raise FieldError("two powers g^i, i < (q-1)/(p-1), share a coset of F_p^* (generator order wrong)")
+    for t in range(1, n):
+        size = p**t
+        ext = dlog[size : 2 * size].reshape((p,) * t) - q1  # int32 throughout: |entries| < q <= 2^24
+        for axis in range(t):
+            ext = ext.take(rot, axis=axis)
+        fixed = np.ravel_multi_index(np.ix_(*[at] * t), ext.shape).ravel()
+        shift = (width**t - 1) // (width - 1)
+        rows = max(1, _SLAB // size)
+        for lam in range(2, p, rows):
+            j = logc[lam - 1 : lam - 1 + rows]
+            vals = ext.take(fixed - (j * shift)[:, None])
+            vals += (j * t_index)[:, None]  # dlog u + jT - (q - 1), in [-(q - 1), q - 1)
+            vals += (vals >> 31) & q1  # mod q - 1 without a branch
+            dlog[lam * size : lam * size + vals.size] = vals.ravel()
 
 
 def build_field(p: int, n: int, modulus: Sequence[int] | None = None, seed: int = 0) -> FieldCtx:

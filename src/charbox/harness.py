@@ -188,29 +188,44 @@ def _moment_threads() -> int:
 def _moment_terms(chi: Character, interval: range, r: int, start: int, stop: int) -> np.ndarray:
     """|sum over z in I of chi(u+z)|^(2r) for u in [start, stop).
 
-    u + z stays in u's row of p indices, so chi is evaluated once on the
-    rows enclosing [start, stop), and shift z adds those rows rotated left
-    by z mod p, as two slices, into an accumulator of the same shape: every
-    u sums the same values in the same order as a gather of chi(u + z)
-    would. Runs on worker threads, as does the `_exact_column_sums` of its
-    terms, so neither calls a public charbox function: a tracer that wraps
-    those keeps one span stack for the calling thread. So the rows' dlogs
-    come from `field._gather`, the int64 gather behind `FieldCtx.dlog_at`.
+    u + z stays in u's row of p indices. When [start, stop) lies in one row
+    and its shifts by min I .. max I span less than the row (at n = 1 near
+    the budget, where the row is all of F_p), chi is evaluated on that
+    window only, wrapping inside the row, and shift z adds the window's
+    slice at z - min I. Otherwise chi is evaluated once on the rows
+    enclosing [start, stop), and shift z adds those rows rotated left by
+    z mod p, as two slices, into an accumulator of the same shape. Either
+    way every u sums the same values in the same order as a gather of
+    chi(u + z) would, and memory follows the chunk, not p. Runs on worker
+    threads, as does the `_exact_column_sums` of its terms, so neither
+    calls a public charbox function: a tracer that wraps those keeps one
+    span stack for the calling thread. So the dlogs come from
+    `field._gather`, the int64 gather behind `FieldCtx.dlog_at`.
     """
     p = chi.ctx.p
-    lo = start - start % p
-    dlogs = _gather(chi.ctx.dlog, slice(lo, -(-stop // p) * p))
-    rows = chi._of_dlogs(dlogs, dlogs < 0).reshape(-1, p)
-    acc = np.empty_like(rows)
-    for i, z in enumerate(interval):
-        s = z % p
-        if i == 0:  # a copy, not 0 + chi: that differs only in the sign of a zero part, which abs drops
-            acc[:, : p - s] = rows[:, s:]
-            acc[:, p - s :] = rows[:, :s]
-        else:
-            acc[:, : p - s] += rows[:, s:]
-            acc[:, p - s :] += rows[:, :s]
-    inner = np.abs(acc.ravel()[start - lo : stop - lo])  # lo is a multiple of p
+    lo = start - start % p  # a multiple of p
+    z0, width = min(interval), stop - start
+    span = width + max(interval) - z0  # u + z for u in [start, stop) and z in I
+    if stop <= lo + p and span < p:
+        dlogs = _gather(chi.ctx.dlog, lo + (start - lo + z0 + np.arange(span)) % p)
+        window = chi._of_dlogs(dlogs, dlogs < 0)
+        acc = window[interval[0] - z0 :][:width].copy()
+        for z in interval[1:]:
+            acc += window[z - z0 :][:width]
+        inner = np.abs(acc)
+    else:
+        dlogs = _gather(chi.ctx.dlog, slice(lo, -(-stop // p) * p))
+        rows = chi._of_dlogs(dlogs, dlogs < 0).reshape(-1, p)
+        acc = np.empty_like(rows)
+        for i, z in enumerate(interval):
+            s = z % p
+            if i == 0:  # a copy, not 0 + chi: that differs only in the sign of a zero part, which abs drops
+                acc[:, : p - s] = rows[:, s:]
+                acc[:, p - s :] = rows[:, :s]
+            else:
+                acc[:, : p - s] += rows[:, s:]
+                acc[:, p - s :] += rows[:, :s]
+        inner = np.abs(acc.ravel()[start - lo : stop - lo])
     inner **= 2 * r
     return inner
 

@@ -414,31 +414,31 @@ def first_minimum(
 
 def _greedy_minima(lattice: IntLattice, body: GaugeBody, vecs: np.ndarray, rank: int):
     """The first `rank` vectors in (gauge, canonical order) that are
-    independent of those before them. Sign-normalizes vecs in place.
+    independent of those before them. Sign-normalizes vecs in place: every
+    row, or at rank 1 the rows of least gauge, the only ones its one pick
+    compares.
 
     At most `rank` rounds: accept the least candidate left, then drop every
     candidate in the span of the witnesses so far. The span test keeps
     integer rows `null` spanning {u : W u = 0} for the witness rows W, so v
     is outside the span iff null @ v != 0."""
-    m = lattice.dim
     scale = body.gauge_scale(lattice.denom)
     terms = (np.abs(vecs[:, j]) * s for j, s in enumerate(body._stretch()))  # one column at a time
     keys = functools.reduce(np.maximum if body.kind == "box" else np.add, terms)
-    first = np.argmax(vecs != 0, axis=1)  # canonical sign: first nonzero entry > 0
-    vecs *= np.sign(vecs[np.arange(len(vecs)), first])[:, None]
-    vmax = max(int(vecs.max()), -int(vecs.min()))
-    null = [[int(i == j) for j in range(m)] for i in range(m)]
-    cand = np.arange(len(vecs))
+    cand = np.flatnonzero(keys == keys.min()) if rank == 1 and len(keys) else np.arange(len(vecs))
+    first = np.argmax(vecs[cand] != 0, axis=1)  # canonical sign: first nonzero entry > 0
+    vecs[cand] *= np.sign(vecs[cand, first])[:, None]
+    if rank > 1:
+        vmax = max(int(vecs.max()), -int(vecs.min()))
+        null = [[int(i == j) for j in range(lattice.dim)] for i in range(lattice.dim)]
     lams: list[Fraction] = []
     wits: list[tuple[int, ...]] = []
     while len(cand) and len(wits) < rank:
         cand_keys = keys[cand]
         tied = cand[cand_keys == cand_keys.min()]
-        for j in range(m):  # ties break by lexicographic vector order
-            col = vecs[tied, j]
-            tied = tied[col == col.min()]
-        wit = tuple(int(x) for x in vecs[tied[0]])
-        lams.append(Fraction(int(keys[tied[0]]), scale))
+        pick = tied[np.lexsort(vecs[tied].T[::-1])[0]]  # ties break by lexicographic vector order
+        wit = tuple(int(x) for x in vecs[pick])
+        lams.append(Fraction(int(keys[pick]), scale))
         wits.append(wit)
         if len(wits) < rank:
             null = _null_cut(null, wit)

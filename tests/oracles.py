@@ -37,6 +37,30 @@ def exp_table(ctx) -> np.ndarray:
     return exp
 
 
+def dlog_table_sweep(ctx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dlog, baby, giant) by one multiplicative sweep g^0, g^1, ... over all
+    of F_q^* in matrix blocks of B = min(4096, q - 1) rows: each block's rows
+    are written into dlog, the first block is baby, and the multiplication
+    matrices of the blocks' first rows g^(jB) are giant. Reads only ctx.g
+    and the field's arithmetic, never a table."""
+    g = ctx.mul_matrix(ctx.g)  # M(g)
+    block = min(4096, ctx.q1)
+    baby = np.array([ctx.one()], dtype=np.int64)
+    while len(baby) < block:  # doubling: g^k ... g^(2k-1) = g^k * (g^0 ... g^(k-1)), g^k = g * g^(k-1)
+        baby = np.concatenate([baby, baby @ ctx.mul_matrix(g @ baby[-1] % ctx.p).T % ctx.p])[:block]
+    step = ctx.mul_matrix(g @ baby[-1] % ctx.p).T  # g^B
+    dlog = np.full(ctx.q, -1, dtype=np.int32)
+    starts = np.empty((-(-ctx.q1 // block), ctx.n), dtype=np.int64)
+    coeffs, done = baby, 0
+    while done < ctx.q1:
+        take = min(block, ctx.q1 - done)
+        dlog[ctx.encode_array(coeffs[:take])] = np.arange(done, done + take)
+        starts[done // block] = coeffs[0]
+        done += take
+        coeffs = (coeffs @ step) % ctx.p
+    return dlog, baby, ctx.mul_matrix(starts)
+
+
 def subinterval_abs_triangle(vals) -> np.ndarray:
     """|vals[lo] + ... + vals[hi]| for all lo <= hi, in np.triu_indices order:
     every pair at once, O(len(vals)^2) memory."""
@@ -100,22 +124,29 @@ def bad_tuple_count_fraction(alphabet: int, r: int) -> int:
     return total
 
 
+def moment_terms_gather(chi, interval, r, start, stop) -> np.ndarray:
+    """|sum over z in I of chi(u + z)|^(2r) for u in [start, stop), with chi
+    on the whole rows enclosing the chunk and each shift gathered through an
+    index array (u + z in u's row)."""
+    ctx = chi.ctx
+    lo = start - start % ctx.p
+    local = chi.values_at(np.arange(lo, -(-stop // ctx.p) * ctx.p, dtype=np.int64))
+    rel_u = np.arange(start - lo, stop - lo, dtype=np.int64)
+    inner = np.zeros(len(rel_u), dtype=np.complex128)
+    for z in interval:
+        inner += local[ctx.add_int_array(rel_u, z)]
+    return np.abs(inner) ** (2 * r)
+
+
 def moment_sum_gather(chi, interval, r):
-    """`harness.moment_sum` with each shift gathered through an index array
-    (u + z in u's row), chunked by `harness._MOMENT_CHUNK` like the library,
-    with the Fraction census."""
+    """`harness.moment_sum` from `moment_terms_gather`, chunked by
+    `harness._MOMENT_CHUNK` like the library, with the Fraction census."""
     ctx = chi.ctx
     size = len(interval)
-    partials = []
-    for start in range(0, ctx.q, harness._MOMENT_CHUNK):
-        stop = min(start + harness._MOMENT_CHUNK, ctx.q)
-        lo = start - start % ctx.p
-        local = chi.values_at(np.arange(lo, -(-stop // ctx.p) * ctx.p, dtype=np.int64))
-        rel_u = np.arange(start - lo, stop - lo, dtype=np.int64)
-        inner = np.zeros(len(rel_u), dtype=np.complex128)
-        for z in interval:
-            inner += local[ctx.add_int_array(rel_u, z)]
-        partials.append(exact_sum(np.abs(inner) ** (2 * r)))
+    partials = [
+        exact_sum(moment_terms_gather(chi, interval, r, start, min(start + harness._MOMENT_CHUNK, ctx.q)))
+        for start in range(0, ctx.q, harness._MOMENT_CHUNK)
+    ]
     value = exact_sum(partials)
     bound = 2 * r * math.sqrt(ctx.q) * float(size) ** (2 * r) + ctx.q * float(size) ** r * float(
         r

@@ -16,7 +16,9 @@ from charbox import (
     is_irreducible,
 )
 from charbox import field
-from oracles import exp_table, inv_mod_p, min_poly_degree, mul_schoolbook, seeded_basis, smallest_generator
+from oracles import (
+    dlog_table_sweep, exp_table, inv_mod_p, min_poly_degree, mul_schoolbook, seeded_basis, smallest_generator,
+)
 
 
 class TestBuildField:
@@ -309,6 +311,61 @@ class TestTables:
         for path in sorted(Path(field.__file__).parent.glob("*.py")):
             visit(path.name, ast.parse(path.read_text()), None)
         assert offenders == []
+
+
+def assert_tables_equal_sweep(ctx):
+    for got, want in zip((ctx.dlog, ctx.baby, ctx.giant), dlog_table_sweep(ctx)):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape) and got.tobytes() == want.tobytes()
+
+
+class TestCosetBuild:
+    """The coset build of dlog, baby and giant against one multiplicative
+    sweep over F_q^*, byte for byte."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.sampled_from([3, 5, 7, 13, 31, 61, 101, 127]), n=st.sampled_from([1, 2, 3]),
+           seed=st.integers(0, 2**16))
+    def test_tables_equal_the_sweep(self, p, n, seed):
+        # p = 3: p - 1 = 2; p = 1 mod 4 (5, 13, 61, 101) and p = 3 mod 4 (3, 7, 31, 127)
+        assert_tables_equal_sweep(build_field(p, n, seed=seed))
+
+    @pytest.mark.parametrize("p, modulus", [
+        (5, (2, 0, 1)), (7, (1, 0, 1)), (13, (11, 0, 1)), (61, (2, 0, 1)),
+        (3, (1, 2, 0, 1)), (31, (3, 0, 0, 1)), (101, (1, 1, 0, 1)), (127, (3, 0, 0, 1)),
+    ])
+    def test_explicit_moduli_equal_the_sweep(self, p, modulus):
+        assert_tables_equal_sweep(build_field(p, len(modulus) - 1, modulus=modulus))
+
+    @pytest.mark.parametrize("p, n", [(4093, 2), (251, 3), (16777213, 1)])
+    def test_fields_just_under_the_budget(self, traced_peak, p, n):
+        built = []
+        peak = traced_peak(lambda: built.append(build_field(p, n)))  # uncached, so the tables go with the test
+        ctx = built.pop()
+        assert 0.9 * field.DEFAULT_TABLE_BUDGET < ctx.q <= field.DEFAULT_TABLE_BUDGET
+        assert peak <= ctx.dlog.nbytes + 8 * 2**20
+        assert_tables_equal_sweep(ctx)
+
+    @pytest.mark.parametrize("p, n", [(5, 2), (3, 3)])
+    def test_every_element_of_lower_order_fails_the_build(self, p, n):
+        # g of order below q - 1 either leaves F_p^* uncovered by g^((q-1)/(p-1))
+        # or puts two powers g^i, i < (q-1)/(p-1), in one coset of F_p^*;
+        # both happen among these elements, and each generator builds the sweep's tables
+        modulus = build_field(p, n).modulus
+        failures = set()
+        for idx in range(1, p**n):
+            ctx = FieldCtx(p, n, modulus)
+            ctx.g = ctx.decode(idx)
+            order, power = 1, ctx.g
+            while power != ctx.one():
+                order, power = order + 1, ctx.mul(power, ctx.g)
+            if order == ctx.q1:
+                field._build_tables(ctx)
+                assert_tables_equal_sweep(ctx)
+                continue
+            with pytest.raises(FieldError, match="generator order wrong") as err:
+                field._build_tables(ctx)
+            failures.add(str(err.value))
+        assert len(failures) == 2
 
 
 class TestExpAt:

@@ -19,9 +19,9 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charbox import Character, cached_field
+from charbox import Character, build_field, cached_field
 from charbox.cli import main
-from oracles import moment_sum_expected, moment_sum_gather
+from oracles import moment_sum_expected, moment_sum_gather, moment_terms_gather
 
 harness = importlib.import_module("charbox.harness")
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -109,6 +109,41 @@ def test_memory_peak_is_one_chunk_per_thread(monkeypatch, traced_peak):
     chi = Character(ctx, 4321)
     monkeypatch.setattr(harness, "_moment_threads", lambda: 2)
     assert traced_peak(lambda: harness.moment_sum(chi, range(1, 6), 3)) < 26 * 2**20
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    p=st.sampled_from([10007, 100003]),
+    chunk=st.sampled_from([997, 4099, 9973]),
+    k=st.integers(1, 10**6),
+    start=st.integers(-10**5, 10**5),
+    length=st.integers(1, 40),
+    r=st.integers(1, 4),
+)
+def test_one_row_chunks_match_gather(p, chunk, k, start, length, r):
+    # n = 1: every chunk lies in the one row F_p, and a chunk whose shifts
+    # span less than p takes chi on that window only, wrapping past p - 1
+    ctx = cached_field(p, 1)
+    chi = Character(ctx, k % ctx.q1 or 1)
+    interval = range(start, start + length)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_MOMENT_CHUNK", chunk)
+        for lo in [0, p - chunk, chunk * (start % (p // chunk))]:
+            bounds = (lo, min(lo + chunk, p))
+            assert harness._moment_terms(chi, interval, r, *bounds).tobytes() == \
+                moment_terms_gather(chi, interval, r, *bounds).tobytes()
+        assert moment_fields(harness.moment_sum(chi, interval, r)) == moment_fields(
+            moment_sum_expected(chi, interval, r))
+
+
+def test_one_row_chunk_peak_follows_the_chunk(traced_peak):
+    # at p = 16777213 one chunk of u's evaluates chi on about chunk + |I|
+    # values, not on all of F_p: 48 bytes per u under tracemalloc
+    ctx = build_field(16777213, 1)  # uncached, so the table goes with the test
+    chi = Character(ctx, 4321)
+    for chunk in [1 << 16, 1 << 18]:
+        for interval in [range(1, 4), range(-9, 10)]:  # the last chunk: u + z wraps past p - 1
+            assert traced_peak(lambda: harness._moment_terms(chi, interval, 10, ctx.q - chunk, ctx.q)) < 64 * chunk
 
 
 @pytest.mark.parametrize("r", [154, 160])
