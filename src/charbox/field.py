@@ -4,13 +4,17 @@ Elements are coefficient tuples in the power basis of a monic irreducible
 modulus polynomial. One kernel multiplies, the regular representation
 M(a) = sum_k a_k C^k (C the companion matrix of the modulus, C^k built once
 per field): `FieldCtx.mul_matrix` over arrays, `FieldCtx.mul` in Python ints.
-Every field carries one dense int32 discrete-log table, read as int64
-(`FieldCtx.dlog_at`); characters read dlogs from it and evaluate chi only
-where asked. Powers g^m are not tabled: `FieldCtx.exp_at` writes m = jB + r
-and multiplies the coordinates of g^r (baby steps) by the multiplication
-matrix of g^(jB) (giant steps), two tables of at most 4096 rows (sqrt(q) at
-the 2^24 budget). The build computes one power of g per coset of F_p^* in
-F_q^* and fills the rest of the dlog table by scaling (`_build_tables`). A
+Discrete logs split along the cosets of F_p^*: x = lam * u with lam in
+F_p^* the top nonzero coordinate of x and u = x / lam of top coordinate 1,
+so dlog x = dlog lam + dlog u mod q - 1. Every field stores one compact
+int32 table of p + (q - 1)/(p - 1) - 1 entries, the log on F_p and one log
+per coset (32 KiB at (4093, 2), 248 KiB at (251, 3)), and every read goes
+through one kernel, `_dlog_lookup`, behind `FieldCtx.dlog_at` (int64);
+characters read dlogs from it and evaluate chi only where asked. Powers
+g^m are not tabled: `FieldCtx.exp_at` writes m = jB + r and multiplies the
+coordinates of g^r (baby steps) by the multiplication matrix of g^(jB)
+(giant steps), two tables of at most 4096 rows (sqrt(q) at the 2^24
+budget). The build computes one power of g per coset (`_build_tables`). A
 basis matrix is inverted over F_p as its integer adjugate times det^-1 mod p
 (`charbox.intlinalg`). Fields are immutable after construction and safe to
 share between workers.
@@ -86,7 +90,7 @@ def _find_irreducible(p: int, n: int, seed: int) -> tuple[int, ...]:
 
 
 class FieldCtx:
-    """F_{p^n} with modulus, generator, a dense dlog table and g^m steps.
+    """F_{p^n} with modulus, generator, a compact dlog table and g^m steps.
 
     Attributes:
         p, n, q: characteristic, degree, order q = p^n.
@@ -95,8 +99,11 @@ class FieldCtx:
                   companion matrix of the modulus; `mul` and `mul_matrix`
                   multiply through M(a) = sum_k a_k C^k and nothing else.
         g: generator element (coefficient tuple).
-        dlog: read-only int32 array of size q; dlog[encode(a)] = m with
-              g^m = a, and dlog[0] = -1.
+        dlog: read-only int32 array of p + (q - 1)/(p - 1) - 1 entries: at
+              [0, p) the log on F_p (dlog[a] = m with g^m = a, -1 at 0),
+              then for t = 1 .. n - 1 the block of dlog u for the u in
+              [p^t, 2 p^t), the elements whose top coordinate is a 1 at t.
+              At n = 1 this is the whole table of F_p.
         baby: read-only int64 (B, n); row r holds the coordinates of g^r,
               for the block B = min(4096, q - 1).
         giant: read-only int64 (ceil((q - 1) / B), n, n); giant[j] is the
@@ -105,11 +112,13 @@ class FieldCtx:
         exp: empty read-only int32 array, kept for readers of its size;
              `exp_at` computes g^m from baby and giant instead.
 
-    dlog is the one q-sized table: int32 (every entry is below q <= 2^24),
-    4 bytes per element of F_q. baby and giant hold O(sqrt(q) n^2)
-    integers at the budget. Kernels read dlog only through `dlog_at` and
-    powers only through `exp_at`, both int64: products such as k * dlog
-    reach 2^48, so no kernel does arithmetic on int32 table entries.
+    At n >= 2 no table has q - 1 entries: dlog is O(q / p), baby and giant
+    O(sqrt(q) n^2), and the lookup has three tables of p entries: `_inv`
+    (inverses mod p) and `_lam_log` (dlog lam - (q - 1)), both reading
+    index 0 as 1, and `_top_base` (the start of the top block, 0 at 0).
+    Kernels read dlog only through `dlog_at` and powers only through
+    `exp_at`, both int64: products such as k * dlog reach 2^48, so no kernel
+    does arithmetic on int32 table entries.
     """
 
     def __init__(self, p: int, n: int, modulus: Sequence[int]):
@@ -129,6 +138,9 @@ class FieldCtx:
         self._mul_rows = self.x_powers.transpose(1, 0, 2).reshape(n, n * n).tolist()  # [i][kn + j]
         self.g: FqElem = ()
         self.dlog: np.ndarray = np.empty(0, dtype=np.int32)
+        self._inv: np.ndarray = np.empty(0, dtype=np.int64)
+        self._lam_log: np.ndarray = np.empty(0, dtype=np.int32)
+        self._top_base: np.ndarray = np.empty(0, dtype=np.int64)
         self.baby: np.ndarray = np.empty((0, n), dtype=np.int64)
         self.giant: np.ndarray = np.empty((0, n, n), dtype=np.int64)
         self.exp: np.ndarray = np.empty(0, dtype=np.int32)
@@ -202,7 +214,7 @@ class FieldCtx:
 
     def dlog_at(self, idx: int | np.ndarray | slice) -> np.ndarray:
         """dlog at element indices (or a slice of them) as int64; -1 at 0."""
-        return _gather(self.dlog, idx)
+        return _dlog_lookup(self, idx)
 
     def exp_at(self, m: int | np.ndarray | slice) -> np.ndarray:
         """Element indices of g^m as int64, for integers m or a slice of
@@ -241,10 +253,67 @@ class FieldCtx:
         return f"FieldCtx(p={self.p}, n={self.n}, modulus={self.modulus})"
 
 
-def _gather(table: np.ndarray, idx: int | np.ndarray | slice) -> np.ndarray:
-    """table[idx] of the int32 dlog table as int64: the one read of the table,
-    behind `FieldCtx.dlog_at`."""
-    return table[idx].astype(np.int64)
+def _dlog_lookup(ctx: FieldCtx, idx: int | np.ndarray | slice) -> np.ndarray:
+    """dlog at element indices (an int, an array of any shape or a slice of
+    [0, q)) as int64, -1 at 0: the one read of the compact table, behind
+    `FieldCtx.dlog_at`. At n = 1 the table is the log of F_p and this is a
+    gather. One index stays a Python int, so it costs scalar operations and
+    not array ones."""
+    if isinstance(idx, slice):
+        x = np.arange(*idx.indices(ctx.q))
+    else:
+        x = int(idx) if isinstance(idx, (int, np.integer)) else np.asarray(idx, dtype=np.int64)
+    if ctx.n == 1:
+        return ctx.dlog[x].astype(np.int64)
+    hi = x // ctx.p
+    return _dlog_split(ctx, hi, x - hi * ctx.p)
+
+
+def _dlog_rows(ctx: FieldCtx, rows: range) -> np.ndarray:
+    """dlog on whole rows of p indices, shape (len(rows), p). The upper
+    coordinates of a row fix lam, so each row is one permuted read of a
+    block of the table."""
+    if ctx.n == 1:
+        return _dlog_lookup(ctx, slice(rows.start * ctx.p, rows.stop * ctx.p)).reshape(-1, ctx.p)
+    return _dlog_split(ctx, np.arange(rows.start, rows.stop)[:, None], np.arange(ctx.p))
+
+
+def _dlog_split(ctx: FieldCtx, hi, low):
+    """dlog of x = low + p hi at n >= 2 (low < p; ints or arrays that
+    broadcast): dlog lam + dlog u mod q - 1, and -1 at x = 0."""
+    lam, c = _coset_index(ctx, hi, low)
+    out = ctx.dlog[c]
+    out += ctx._lam_log[lam]  # int32, in [-q, q - 1), and below -(q - 1) only at x = 0
+    out += (out >> 31) & ctx.q1  # mod q - 1 without a branch; -1 stays -1
+    return out.astype(np.int64)
+
+
+def _coset_index(ctx: FieldCtx, hi, low):
+    """(lam, c) for x = low + p hi at n >= 2: lam is the top nonzero
+    coordinate of x, or 0 (standing for 1) when x lies in F_p, and c the
+    index of u = x / lam in the compact table. The top coordinate of u is
+    1, so only the lower ones are divided by lam; u in the top block
+    [p^(n-1), 2 p^(n-1)) sits at its offset there, any other u at its own
+    index (u < 2p)."""
+    p = ctx.p
+    if ctx.n == 2:
+        top = lam = hi
+    else:  # hi = d1 + p d2
+        top = hi // p
+        d1 = hi - top * p
+        lam = np.where(top > 0, top, d1)
+    inv = ctx._inv[lam]
+    c = _mod_p(low * inv, p)
+    c += ctx._top_base[top]
+    if ctx.n == 3:
+        c += _mod_p(d1 * inv, p) * p
+    return lam, c
+
+
+def _mod_p(m, p: int):
+    """m mod p for m >= 0, as m - (m // p) p: numpy divides by a scalar
+    several times faster than it takes a remainder."""
+    return m - m // p * p
 
 
 def _find_generator(ctx: FieldCtx) -> FqElem:
@@ -261,22 +330,22 @@ _SLAB = 1 << 17  # table entries per step of the build: a slab of int64 is 1 MiB
 
 
 def _build_tables(ctx: FieldCtx) -> None:
-    """baby and giant by doubling, then dlog from the cosets of F_p^*.
+    """baby and giant by doubling, then the compact dlog table.
 
     F_p^* is the subgroup of index T = (q - 1)/(p - 1) in F_q^*, generated
     by c = g^T, so dlog c^k = kT; at n = 1, T = 1 and this is the whole
-    table, filled from the powers of g in slabs. For n > 1 every other
-    entry follows from one power of g per coset (`_fill_cosets`). Two
-    checks raise FieldError unless g has order q - 1: the powers of c cover
-    F_p^*, and the powers g^i, i < T, lie in T distinct cosets. Together
-    they say that g generates F_q^* / F_p^* and g^T the kernel."""
+    table, filled from the powers of g in slabs. For n > 1 each coset takes
+    its log from one power of g (`_fill_cosets`). Two checks raise
+    FieldError unless g has order q - 1: the powers of c cover F_p^*, and
+    the powers g^i, i < T, lie in T distinct cosets. Together they say that
+    g generates F_q^* / F_p^* and g^T the kernel."""
     block = min(4096, ctx.q1)
     ctx.baby = _powers(ctx, ctx.g, block)
     g_block = ctx.mul_matrix(ctx.g) @ ctx.baby[-1] % ctx.p  # g^B
     ctx.giant = ctx.mul_matrix(_powers(ctx, g_block, -(-ctx.q1 // block)))
 
     p, t_index = ctx.p, ctx.q1 // (ctx.p - 1)
-    dlog = np.full(ctx.q, -1, dtype=np.int32)  # int32 from the start: no int64 table is ever held
+    ctx.dlog = dlog = np.full(p + t_index - 1, -1, dtype=np.int32)
     if ctx.n == 1:
         for m0, coords in _power_slabs(ctx, ctx.q1):
             dlog[coords[:, 0]] = np.arange(m0, m0 + len(coords), dtype=np.int32)
@@ -286,10 +355,12 @@ def _build_tables(ctx: FieldCtx) -> None:
     if not all((dlog[s : min(s + _SLAB, p)] >= 0).all() for s in range(1, p, _SLAB)):
         raise FieldError("g^((q-1)/(p-1)) does not generate F_p^* (generator order wrong)")
     if ctx.n > 1:
-        _fill_cosets(ctx, dlog, t_index)
-    for table in (dlog, ctx.baby, ctx.giant):
+        ctx._inv = np.array([pow(a, -1, p) if a else 1 for a in range(p)], dtype=np.int64)
+        ctx._lam_log = np.maximum(dlog[:p], 0) - ctx.q1
+        ctx._top_base = np.where(np.arange(p) > 0, len(dlog) - p ** (ctx.n - 1), 0)
+        _fill_cosets(ctx, t_index)
+    for table in (dlog, ctx._inv, ctx._lam_log, ctx._top_base, ctx.baby, ctx.giant):
         table.setflags(write=False)
-    ctx.dlog = dlog
 
 
 def _powers(ctx: FieldCtx, h: FqElem | np.ndarray, count: int) -> np.ndarray:
@@ -307,55 +378,28 @@ def _power_slabs(ctx: FieldCtx, stop: int):
     holds the coordinates of g^(m0 + i), giant[j] @ baby[r] for whole
     blocks of baby at once."""
     block = len(ctx.baby)
+    giant = ctx.giant[: -(-stop // block)]
     rows = max(1, _SLAB // (block * ctx.n))
-    for j in range(0, -(-stop // block), rows):
-        coords = ctx.baby @ ctx.giant[j : j + rows].transpose(0, 2, 1)  # [j, r] = (giant[j] @ baby[r])^T
+    for j in range(0, len(giant), rows):
+        coords = ctx.baby @ giant[j : j + rows].transpose(0, 2, 1)  # [j, r] = (giant[j] @ baby[r])^T
         coords %= ctx.p
         yield j * block, coords.reshape(-1, ctx.n)[: stop - j * block]
 
 
-def _fill_cosets(ctx: FieldCtx, dlog: np.ndarray, t_index: int) -> None:
-    """dlog off F_p, given dlog on F_p^*.
+def _fill_cosets(ctx: FieldCtx, t_index: int) -> None:
+    """The coset blocks of the compact table, given the log on F_p^*.
 
-    Write x in F_q^* as lam * u, with lam in F_p^* its top nonzero
-    coordinate and u = x / lam, whose top coordinate is 1: dlog x =
-    dlog lam + dlog u mod q - 1. The u are the indices [p^t, 2 p^t), one per
-    coset; u = g^i / lam for the power g^i, i < T, in its coset gives
-    dlog u = i - dlog lam. Each other block [lam p^t, (lam + 1) p^t) then
-    reads the lam = 1 block at its lower digits divided by lam.
-
-    Division by lam = c^j needs no mod p. With a = c^e, a / lam = c^(e - j),
-    so a / lam = rot[at[a] - j] for rot = (c^0 .. c^(p-2)) twice and then
-    p - 1 zeros, at[a] = e + p - 1 and at[0] = 3(p - 1) - 1. The lam = 1
-    block with each axis of digits permuted by rot is ext, so the lam block
-    is one gather from ext at a fixed index minus j times a shift, plus jT
-    mod q - 1."""
-    p, n, q1 = ctx.p, ctx.n, ctx.q1
-    logc = dlog[1:p].astype(np.int64) // t_index  # logc[a - 1] = log_c a
-    cpow = np.empty(p - 1, dtype=np.int64)
-    cpow[logc] = np.arange(1, p)
-    width = 3 * (p - 1)
-    rot = np.concatenate([cpow, cpow, np.zeros(p - 1, dtype=np.int64)])
-    at = np.concatenate([[width - 1], logc + p - 1])
+    The u of top coordinate 1 are one per coset of F_p^*. The power g^i,
+    i < T, in the coset of u is lam * u, with lam its top nonzero
+    coordinate, so dlog u = i - dlog lam mod q - 1, written at the index
+    `_coset_index` reads it from."""
+    p, dlog = ctx.p, ctx.dlog
     for m0, coords in _power_slabs(ctx, t_index):
-        j = logc[coords[np.arange(len(coords)), n - 1 - np.argmax(coords[:, ::-1] != 0, axis=1)] - 1]
-        dlog[ctx.encode_array(rot[at[coords] - j[:, None]])] = (np.arange(m0, m0 + len(coords)) - j * t_index) % q1
-    if not all((dlog[p**t : 2 * p**t] >= 0).all() for t in range(1, n)):
+        x = ctx.encode_array(coords)
+        lam, c = _coset_index(ctx, x // p, coords[:, 0])
+        dlog[c] = (np.arange(m0, m0 + len(x)) - ctx._lam_log[lam]) % ctx.q1
+    if not (dlog[p:] >= 0).all():
         raise FieldError("two powers g^i, i < (q-1)/(p-1), share a coset of F_p^* (generator order wrong)")
-    for t in range(1, n):
-        size = p**t
-        ext = dlog[size : 2 * size].reshape((p,) * t) - q1  # int32 throughout: |entries| < q <= 2^24
-        for axis in range(t):
-            ext = ext.take(rot, axis=axis)
-        fixed = np.ravel_multi_index(np.ix_(*[at] * t), ext.shape).ravel()
-        shift = (width**t - 1) // (width - 1)
-        rows = max(1, _SLAB // size)
-        for lam in range(2, p, rows):
-            j = logc[lam - 1 : lam - 1 + rows]
-            vals = ext.take(fixed - (j * shift)[:, None])
-            vals += (j * t_index)[:, None]  # dlog u + jT - (q - 1), in [-(q - 1), q - 1)
-            vals += (vals >> 31) & q1  # mod q - 1 without a branch
-            dlog[lam * size : lam * size + vals.size] = vals.ravel()
 
 
 def build_field(p: int, n: int, modulus: Sequence[int] | None = None, seed: int = 0) -> FieldCtx:

@@ -17,7 +17,7 @@ import numpy as np
 from .boxes import Box, scaled_box, small_edge_cap
 from .characters import Character, _exact_column_sums, _fsum_complex, box_char_sum, exact_sum
 from .energy import tau_profile
-from .field import _gather
+from .field import _dlog_lookup, _dlog_rows
 
 R_CAP = 30
 INTERVAL_CAP = 10_000
@@ -199,23 +199,23 @@ def _moment_terms(chi: Character, interval: range, r: int, start: int, stop: int
     chi(u + z) would, and memory follows the chunk, not p. Runs on worker
     threads, as does the `_exact_column_sums` of its terms, so neither
     calls a public charbox function: a tracer that wraps those keeps one
-    span stack for the calling thread. So the dlogs come from
-    `field._gather`, the int64 gather behind `FieldCtx.dlog_at`.
+    span stack for the calling thread. So the dlogs come from the private
+    kernel behind `FieldCtx.dlog_at`, whole rows from `field._dlog_rows`.
     """
     p = chi.ctx.p
     lo = start - start % p  # a multiple of p
     z0, width = min(interval), stop - start
     span = width + max(interval) - z0  # u + z for u in [start, stop) and z in I
     if stop <= lo + p and span < p:
-        dlogs = _gather(chi.ctx.dlog, lo + (start - lo + z0 + np.arange(span)) % p)
+        dlogs = _dlog_lookup(chi.ctx, lo + (start - lo + z0 + np.arange(span)) % p)
         window = chi._of_dlogs(dlogs, dlogs < 0)
         acc = window[interval[0] - z0 :][:width].copy()
         for z in interval[1:]:
             acc += window[z - z0 :][:width]
         inner = np.abs(acc)
     else:
-        dlogs = _gather(chi.ctx.dlog, slice(lo, -(-stop // p) * p))
-        rows = chi._of_dlogs(dlogs, dlogs < 0).reshape(-1, p)
+        dlogs = _dlog_rows(chi.ctx, range(lo // p, -(-stop // p)))
+        rows = chi._of_dlogs(dlogs, dlogs < 0)
         acc = np.empty_like(rows)
         for i, z in enumerate(interval):
             s = z % p

@@ -9,11 +9,12 @@ reports are byte-identical for any worker count.
 Surveys with workers > 1 share one process pool, started on the first such
 call and kept for later ones; a call with another worker count shuts it down
 and starts a new one, so at most one pool is alive. The pool belongs to the
-process that started it: a forked child starts without it. If a worker dies,
-the pool is dropped and the call runs once more on a fresh pool. Workers are
-forked, so they run the code as it was when the pool started (a function
-patched later in the parent is not seen until `_shutdown_pool()`), and they
-inherit the parent's field cache. A pooled call first builds its fields in
+process that started it: a forked child starts without it. A call sends each
+worker a few strided groups of cells, not one cell per task. If a worker
+dies, the pool is dropped and the call runs once more on a fresh pool.
+Workers are forked, so they run the code as it was when the pool started (a
+function patched later in the parent is not seen until `_shutdown_pool()`),
+and they inherit the parent's field cache. A pooled call first builds its fields in
 the parent, then starts a fresh pool if the workers did not inherit one of
 them, so workers hold no field the parent did not hold when they forked. The
 reuse pays only where one process makes several pooled calls; a single call,
@@ -279,11 +280,20 @@ def _pool(workers: int, fields: set) -> ProcessPoolExecutor:
     return _POOL[2]
 
 
+_TASKS_PER_WORKER = 2  # groups of cells per worker and pooled call
+
+
+def _survey_rows(cfg: ExperimentConfig, cells: list[tuple[int, int, int]]) -> list[dict]:
+    return [_survey_row(cfg, cell) for cell in cells]
+
+
 def _pooled_rows(cfg: ExperimentConfig, cells: list[tuple[int, int, int]]) -> list[dict]:
     """Rows in grid order. The parent builds the call's fields first, so the
     pool's workers inherit them; a field whose build raises is left to its
-    rows, which record the error. A pool broken by a dead worker, perhaps one
-    that died between calls, is dropped and the call runs once more on a fresh
+    rows, which record the error. Task i is the strided group cells[i::tasks],
+    so every task holds a like mix of cheap and costly cells, and one round
+    trip carries many rows. A pool broken by a dead worker, perhaps one that
+    died between calls, is dropped and the call runs once more on a fresh
     pool, so a cell that kills its worker runs twice before the error comes out."""
     fields = set()
     for p in cfg.p_list:
@@ -292,10 +302,12 @@ def _pooled_rows(cfg: ExperimentConfig, cells: list[tuple[int, int, int]]) -> li
         except Exception:  # the rows of p record it
             continue
         fields.add(field.field_key(p, cfg.n, cfg.modulus, cfg.seed))
+    tasks = min(len(cells), _TASKS_PER_WORKER * cfg.workers)
     for attempt in (0, 1):
         try:
             pool = _pool(cfg.workers, fields)
-            return list(pool.map(_survey_row, itertools.repeat(cfg), cells, chunksize=1))
+            groups = list(pool.map(_survey_rows, itertools.repeat(cfg), [cells[i::tasks] for i in range(tasks)]))
+            return [groups[k % tasks][k // tasks] for k in range(len(cells))]
         except BrokenProcessPool:
             _shutdown_pool()
             if attempt:

@@ -33,7 +33,7 @@ def exp_table(ctx) -> np.ndarray:
     """exp[m] = encode(g^m) for m in [0, q - 1) as int64: the inverse
     permutation of the dlog table, which the field no longer stores."""
     exp = np.empty(ctx.q1, dtype=np.int64)
-    exp[ctx.dlog[1:]] = np.arange(1, ctx.q)
+    exp[ctx.dlog_at(slice(1, None))] = np.arange(1, ctx.q)
     return exp
 
 

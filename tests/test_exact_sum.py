@@ -187,7 +187,7 @@ def test_k_near_q_matches_int64_table_oracle(k_back):
     # at (101, 3) k * dlog reaches 10^12, past int32: every kernel must
     # upcast the int32 tables before that product, as this oracle's tables are
     ctx = cached_field(101, 3, seed=0)
-    dlog, exp = ctx.dlog.astype(np.int64), exp_table(ctx)
+    dlog, exp = ctx.dlog_at(slice(None)), exp_table(ctx)
     chi = Character(ctx, ctx.q1 - k_back)
     table = seed_table(chi, dlog)
     rng = rng_for(23, k_back)

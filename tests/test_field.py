@@ -210,8 +210,8 @@ class TestTables:
         ctx = built[0]
         q1 = ctx.q1
         arrays = {name: v for name, v in vars(ctx).items() if isinstance(v, np.ndarray)}
-        assert [name for name, v in arrays.items() if v.size >= q1] == ["dlog"]
-        assert ctx.dlog.dtype == np.int32 and ctx.dlog.nbytes == 4 * ctx.q
+        assert [name for name, v in arrays.items() if v.size >= q1] == []  # n >= 2: nothing of size q
+        assert ctx.dlog.dtype == np.int32 and ctx.dlog.size == p + q1 // (p - 1) - 1
         assert ctx.exp.dtype == np.int32 and ctx.exp.nbytes == 0
         assert ctx.baby.shape == (min(4096, q1), n) and ctx.giant.shape == (-(-q1 // 4096), n, n)
         for table in arrays.values():
@@ -222,13 +222,14 @@ class TestTables:
         idx, m = np.array([0, 1, ctx.q - 1]), np.array([0, 1, q1 - 1])
         for got in (ctx.dlog_at(idx), ctx.dlog_at(slice(0, ctx.p)), ctx.exp_at(m), ctx.exp_at(slice(q1 - 3, None))):
             assert got.dtype == np.int64
-        assert ctx.dlog_at(idx).tolist() == [int(ctx.dlog[i]) for i in idx]
+        assert ctx.dlog_at(idx).tolist() == [ctx.dlog_of(ctx.decode(i)) if i else -1 for i in idx.tolist()]
         assert ctx.dlog_at(ctx.exp_at(m)).tolist() == m.tolist()
         assert ctx.dlog_at(ctx.exp_at(slice(q1 - 3, None))).tolist() == list(range(q1 - 3, q1))
-        assert peak < 75 * 10**6  # dlog is 67 MB at (4093, 2): no q-sized temporary beside it
+        assert peak < 2 * 10**6  # the dense table alone was 67 MB at (4093, 2)
 
-    # sha256 of the table bytes as first built by polynomial multiplication:
-    # the matrix kernel must leave every byte of every table unchanged
+    # sha256 of the table bytes as first built by polynomial multiplication,
+    # dlog as the dense int32 table of every element: the matrix kernel and
+    # the compact table must leave every byte of every table unchanged
     PINNED = {
         (31, 3): ("4855c9890084d99a88a1c2d9dd702b206ce14ce61797824d84e3aeb09555c5c1",
                   "58781661da005e5a7e4cc5c1ee700fc186371debf9912b767efe772237a9618a",
@@ -244,12 +245,14 @@ class TestTables:
     @pytest.mark.parametrize("p, n", sorted(PINNED))
     def test_tables_match_pinned_sha256(self, p, n):
         ctx = build_field(p, n)  # uncached, so the tables go with the test
-        digests = tuple(hashlib.sha256(t.tobytes()).hexdigest() for t in (ctx.dlog, ctx.baby, ctx.giant))
+        tables = (ctx.dlog_at(slice(None)).astype(np.int32), ctx.baby, ctx.giant)
+        digests = tuple(hashlib.sha256(t.tobytes()).hexdigest() for t in tables)
         assert digests == self.PINNED[(p, n)]
 
     def test_only_field_subscripts_the_tables(self):
-        # every kernel reads dlog through dlog_at (an int64 gather) and g^m
-        # through exp_at: no subscript of a table, no read of the empty .exp
+        # every kernel reads dlog through dlog_at (the compact-table kernel)
+        # and g^m through exp_at: no read of .dlog at all, no subscript of a
+        # table, no read of the empty .exp
         src = Path(field.__file__).parent
         modules = {"np", "numpy", "math", "cmath"}
         offenders = [
@@ -258,6 +261,7 @@ class TestTables:
             for node in ast.walk(ast.parse(path.read_text()))
             if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
                 and node.value.attr in ("dlog", "exp"))
+            or (isinstance(node, ast.Attribute) and node.attr == "dlog")
             or (isinstance(node, ast.Attribute) and node.attr == "exp"
                 and not (isinstance(node.value, ast.Name) and node.value.id in modules))
         ]
@@ -313,8 +317,15 @@ class TestTables:
         assert offenders == []
 
 
+EXPLICIT_MODULI = [
+    (5, (2, 0, 1)), (7, (1, 0, 1)), (13, (11, 0, 1)), (61, (2, 0, 1)),
+    (3, (1, 2, 0, 1)), (31, (3, 0, 0, 1)), (101, (1, 1, 0, 1)), (127, (3, 0, 0, 1)),
+]
+
+
 def assert_tables_equal_sweep(ctx):
-    for got, want in zip((ctx.dlog, ctx.baby, ctx.giant), dlog_table_sweep(ctx)):
+    tables = (ctx.dlog_at(slice(None)).astype(np.int32), ctx.baby, ctx.giant)
+    for got, want in zip(tables, dlog_table_sweep(ctx)):
         assert (got.dtype, got.shape) == (want.dtype, want.shape) and got.tobytes() == want.tobytes()
 
 
@@ -329,10 +340,7 @@ class TestCosetBuild:
         # p = 3: p - 1 = 2; p = 1 mod 4 (5, 13, 61, 101) and p = 3 mod 4 (3, 7, 31, 127)
         assert_tables_equal_sweep(build_field(p, n, seed=seed))
 
-    @pytest.mark.parametrize("p, modulus", [
-        (5, (2, 0, 1)), (7, (1, 0, 1)), (13, (11, 0, 1)), (61, (2, 0, 1)),
-        (3, (1, 2, 0, 1)), (31, (3, 0, 0, 1)), (101, (1, 1, 0, 1)), (127, (3, 0, 0, 1)),
-    ])
+    @pytest.mark.parametrize("p, modulus", EXPLICIT_MODULI)
     def test_explicit_moduli_equal_the_sweep(self, p, modulus):
         assert_tables_equal_sweep(build_field(p, len(modulus) - 1, modulus=modulus))
 
@@ -366,6 +374,42 @@ class TestCosetBuild:
                 field._build_tables(ctx)
             failures.add(str(err.value))
         assert len(failures) == 2
+
+
+class TestDlogAt:
+    """`dlog_at` against the sweep's dense table: int64 out, -1 at 0, the
+    shape of the input, for every form of index it takes."""
+
+    @staticmethod
+    def check_forms(ctx, every_int):
+        want = dlog_table_sweep(ctx)[0].astype(np.int64)
+        p, q = ctx.p, ctx.q
+        ints = range(q) if every_int else np.random.default_rng(q).integers(0, q, 200).tolist() + [0, 1, p, q - 1]
+        for i in ints:
+            for idx in (i, np.int64(i), np.asarray(i)):
+                got = ctx.dlog_at(idx)
+                assert (got.dtype, np.shape(got), int(got)) == (np.int64, (), want[i])
+        assert ctx.dlog_at(0) == -1 and ctx.dlog_at(np.zeros((2, 3), dtype=np.int64)).tolist() == [[-1] * 3] * 2
+        grid = np.arange(q).reshape(-1, p)
+        shuffled = np.random.default_rng(p).permutation(q).reshape(p, -1)
+        for idx in (grid, grid.T, shuffled, shuffled[:, ::-1][:1]):
+            got = ctx.dlog_at(idx)
+            assert got.dtype == np.int64 and np.array_equal(got, want[idx])
+        # slices inside a row, across rows and blocks, and ending at q
+        for sl in (slice(None), slice(0, p), slice(p - 2, p + 3), slice(p * p - 1, p * p + 2 * p + 1),
+                   slice(q - p - 1, None), slice(q - 1, q), slice(-5, None), slice(1, q, 7), slice(q - 1, 0, -p)):
+            got = ctx.dlog_at(sl)
+            assert got.dtype == np.int64 and np.array_equal(got, want[sl])
+        assert np.array_equal(field._dlog_rows(ctx, range(q // p)), want.reshape(-1, p))
+        assert np.array_equal(field._dlog_rows(ctx, range(1, 2)), want[p : 2 * p][None])
+
+    @pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (7, 2), (3, 3), (5, 3), (7, 3)])
+    def test_every_form_matches_the_sweep(self, p, n):
+        self.check_forms(build_field(p, n), every_int=True)
+
+    @pytest.mark.parametrize("p, modulus", EXPLICIT_MODULI)
+    def test_explicit_moduli_match_the_sweep(self, p, modulus):
+        self.check_forms(build_field(p, len(modulus) - 1, modulus=modulus), every_int=p**3 < 10**4)
 
 
 class TestExpAt:
